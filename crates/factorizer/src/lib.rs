@@ -42,4 +42,4 @@ pub mod resonator;
 pub use baseline::{BruteForceFactorizer, BruteForceOutcome};
 pub use config::{FactorizerConfig, StochasticityConfig};
 pub use metrics::{AccuracyReport, FactorizationCost, WorkloadStats};
-pub use resonator::{BoundedNoise, FactorizationResult, Factorizer, FactorizerScratch};
+pub use resonator::{BoundedNoise, FactorizationResult, Factorizer, FactorizerScratch, StopReason};

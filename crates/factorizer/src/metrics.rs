@@ -6,7 +6,7 @@
 //! reasoning accuracy and parameter counts).
 
 use crate::config::FactorizerConfig;
-use crate::resonator::Factorizer;
+use crate::resonator::{Factorizer, StopReason};
 use cogsys_vsa::codebook::CodebookSet;
 use cogsys_vsa::{ops, Precision, VsaError};
 use rand::Rng;
@@ -95,6 +95,8 @@ pub struct WorkloadStats {
     pub total_iterations: usize,
     /// Number of runs that ended in a detected limit cycle.
     pub limit_cycles: usize,
+    /// Number of runs stopped by the stagnation rule.
+    pub stalls: usize,
 }
 
 impl WorkloadStats {
@@ -129,6 +131,7 @@ impl WorkloadStats {
         self.converged += other.converged;
         self.total_iterations += other.total_iterations;
         self.limit_cycles += other.limit_cycles;
+        self.stalls += other.stalls;
     }
 }
 
@@ -179,8 +182,10 @@ impl AccuracyReport {
             if result.converged {
                 stats.converged += 1;
             }
-            if result.limit_cycle {
-                stats.limit_cycles += 1;
+            match result.stop {
+                StopReason::LimitCycle => stats.limit_cycles += 1,
+                StopReason::Stalled => stats.stalls += 1,
+                StopReason::Converged | StopReason::Budget => {}
             }
             if result.matches(&indices) {
                 stats.exact_matches += 1;
@@ -243,6 +248,7 @@ mod tests {
             converged: 10,
             total_iterations: 50,
             limit_cycles: 0,
+            stalls: 1,
         };
         assert!((a.accuracy() - 0.9).abs() < 1e-12);
         assert!((a.convergence_rate() - 1.0).abs() < 1e-12);
@@ -253,11 +259,13 @@ mod tests {
             converged: 8,
             total_iterations: 150,
             limit_cycles: 2,
+            stalls: 0,
         };
         a.merge(&b);
         assert_eq!(a.queries, 20);
         assert_eq!(a.exact_matches, 16);
         assert_eq!(a.limit_cycles, 2);
+        assert_eq!(a.stalls, 1);
         assert!((a.mean_iterations() - 10.0).abs() < 1e-12);
     }
 

@@ -18,20 +18,40 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// Why a factorization run stopped iterating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum StopReason {
+    /// The rebind similarity reached the convergence threshold.
+    Converged,
+    /// The decoded tuple recurred within
+    /// [`FactorizerConfig::limit_cycle_window`] iterations without converging
+    /// (deterministic dynamics only).
+    LimitCycle,
+    /// The best rebind similarity did not strictly improve for
+    /// [`FactorizerConfig::stall_window`] consecutive iterations.
+    Stalled,
+    /// The iteration budget ([`FactorizerConfig::max_iterations`]) ran out.
+    Budget,
+}
+
 /// Outcome of one factorization run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FactorizationResult {
-    /// The decoded codevector index for each factor.
+    /// The decoded codevector index for each factor: the converged tuple, or the
+    /// best-so-far tuple (highest rebind similarity) when the run stopped otherwise.
     pub indices: Vec<usize>,
     /// Cosine similarity of the re-bound estimate to the input query.
     pub similarity: f32,
-    /// Number of iterations executed.
+    /// Number of iterations charged to the run: the iterations actually executed
+    /// for [`StopReason::Converged`], [`StopReason::Stalled`] and
+    /// [`StopReason::Budget`], and the full budget for [`StopReason::LimitCycle`]
+    /// (a stuck deterministic run counts as having exhausted it).
     pub iterations: usize,
-    /// Whether the convergence threshold was reached within the iteration budget.
+    /// Whether the convergence threshold was reached within the iteration budget
+    /// (`stop == StopReason::Converged`).
     pub converged: bool,
-    /// Whether a limit cycle was detected (estimates repeating without improvement);
-    /// only possible when stochasticity is disabled.
-    pub limit_cycle: bool,
+    /// Why the run stopped.
+    pub stop: StopReason,
 }
 
 impl FactorizationResult {
@@ -200,7 +220,16 @@ struct QueryState {
     decoded: Vec<usize>,
     best_indices: Vec<usize>,
     best_similarity: f32,
-    history: Vec<Vec<usize>>,
+    /// Iteration at which `best_similarity` was last strictly improved (0 before
+    /// the first iteration); drives the stagnation rule.
+    best_iteration: usize,
+    /// Ring of the last `limit_cycle_window` decoded tuples, stored flat
+    /// (`num_factors` indices per slot); only written under deterministic dynamics.
+    history: Vec<usize>,
+    /// Number of filled ring slots (saturates at `limit_cycle_window`).
+    history_len: usize,
+    /// Ring slot the next tuple overwrites.
+    history_next: usize,
     result: Option<FactorizationResult>,
 }
 
@@ -216,14 +245,30 @@ impl QueryState {
         self.best_indices.clear();
         self.best_indices.resize(num_factors, 0);
         self.best_similarity = f32::NEG_INFINITY;
+        self.best_iteration = 0;
         self.history.clear();
+        self.history
+            .resize(config.limit_cycle_window * num_factors, 0);
+        self.history_len = 0;
+        self.history_next = 0;
         self.result = None;
     }
 
+    /// The best-so-far tuple as a non-converged result.
+    fn best_result(&self, iterations: usize, stop: StopReason) -> FactorizationResult {
+        FactorizationResult {
+            indices: self.best_indices.clone(),
+            similarity: self.best_similarity,
+            iterations,
+            converged: false,
+            stop,
+        }
+    }
+
     /// End-of-iteration bookkeeping for one query: records the rebind `similarity`,
-    /// detects convergence and (deterministic dynamics only) limit cycles, and decays
-    /// the noise schedule. Returns `true` when the query is finished and its batch row
-    /// can be compacted out.
+    /// detects convergence, (deterministic dynamics only) limit cycles and
+    /// stagnation, and decays the noise schedule. Returns `true` when the query is
+    /// finished and its batch row can be compacted out.
     fn finish_iteration(
         &mut self,
         config: &FactorizerConfig,
@@ -234,6 +279,7 @@ impl QueryState {
         if similarity > self.best_similarity {
             self.best_similarity = similarity;
             self.best_indices.clone_from(&self.decoded);
+            self.best_iteration = iteration;
         }
 
         if similarity >= config.convergence_threshold {
@@ -242,34 +288,36 @@ impl QueryState {
                 similarity,
                 iterations: iteration,
                 converged: true,
-                limit_cycle: false,
+                stop: StopReason::Converged,
             });
             return true;
         }
 
         // Limit-cycle detection: the same decoded tuple recurring within the window
         // without reaching the threshold (deterministic dynamics only).
-        if deterministic {
+        if deterministic && config.limit_cycle_window > 0 {
+            let num_factors = self.decoded.len();
             if self
                 .history
-                .iter()
-                .rev()
-                .take(config.limit_cycle_window)
-                .any(|h| h == &self.decoded)
+                .chunks_exact(num_factors)
+                .take(self.history_len)
+                .any(|h| h == self.decoded)
             {
-                self.result = Some(FactorizationResult {
-                    indices: self.best_indices.clone(),
-                    similarity: self.best_similarity,
-                    iterations: config.max_iterations,
-                    converged: false,
-                    limit_cycle: true,
-                });
+                self.result = Some(self.best_result(config.max_iterations, StopReason::LimitCycle));
                 return true;
             }
-            self.history.push(self.decoded.clone());
-            if self.history.len() > config.limit_cycle_window * 4 {
-                self.history.remove(0);
-            }
+            let slot = self.history_next * num_factors;
+            self.history[slot..slot + num_factors].copy_from_slice(&self.decoded);
+            self.history_next = (self.history_next + 1) % config.limit_cycle_window;
+            self.history_len = (self.history_len + 1).min(config.limit_cycle_window);
+        }
+
+        // Stagnation: the best rebind similarity has not strictly improved for
+        // `stall_window` iterations. The trajectory before this point is untouched,
+        // so the run returns exactly what a budget of `iteration` would.
+        if iteration - self.best_iteration >= config.stall_window {
+            self.result = Some(self.best_result(iteration, StopReason::Stalled));
+            return true;
         }
 
         if config.stochasticity.decay != 1.0 {
@@ -283,13 +331,9 @@ impl QueryState {
 
     /// Extracts the query's result, leaving the state ready for [`QueryState::reset`].
     fn take_result(&mut self, max_iterations: usize) -> FactorizationResult {
-        self.result.take().unwrap_or_else(|| FactorizationResult {
-            indices: self.best_indices.clone(),
-            similarity: self.best_similarity,
-            iterations: max_iterations,
-            converged: false,
-            limit_cycle: false,
-        })
+        self.result
+            .take()
+            .unwrap_or_else(|| self.best_result(max_iterations, StopReason::Budget))
     }
 }
 
@@ -980,6 +1024,7 @@ impl Factorizer {
 mod tests {
     use super::*;
     use crate::config::StochasticityConfig;
+    use crate::metrics::AccuracyReport;
     use cogsys_vsa::codebook::BindingOp;
     use cogsys_vsa::{rng, BackendKind, CodebookSet, Precision};
     use proptest::prelude::*;
@@ -1075,10 +1120,161 @@ mod tests {
             .unwrap();
         if !result.converged {
             assert!(
-                result.limit_cycle || result.iterations == 500,
+                result.stop == StopReason::LimitCycle || result.iterations == 500,
                 "non-converged run should be explained"
             );
         }
+    }
+
+    /// `config` with the stagnation rule switched off
+    /// (`stall_window == max_iterations`): the run to compare the rule against.
+    fn without_stall_rule(config: FactorizerConfig) -> FactorizerConfig {
+        FactorizerConfig {
+            stall_window: config.max_iterations,
+            ..config
+        }
+    }
+
+    #[test]
+    fn stall_rule_is_a_pure_early_exit_for_converging_queries() {
+        // A mixed batch: clean and lightly noised queries converge, heavily noised
+        // ones stall. Every query the rule lets converge keeps exactly the result it
+        // has without the rule (indices, similarity and iteration count), on every
+        // backend, and the hard rows really are cut short.
+        let (set, mut r) = standard_set(500, &[12, 12, 12], 512);
+        let queries: Vec<Hypervector> = (0..12)
+            .map(|i| {
+                let clean = set.bind_indices(&[i, (i * 5) % 12, (i * 7) % 12]).unwrap();
+                let p = [0.0, 0.02, 0.25][i % 3];
+                ops::flip_noise(&clean, p, &mut r)
+            })
+            .collect();
+        for kind in BackendKind::ALL {
+            let config = FactorizerConfig::default().with_backend(kind);
+            let with_rule = Factorizer::new(config.clone())
+                .factorize_batch(&set, &queries, &mut rng(501))
+                .unwrap();
+            let without_rule = Factorizer::new(without_stall_rule(config))
+                .factorize_batch(&set, &queries, &mut rng(501))
+                .unwrap();
+            let mut converged = 0;
+            let mut stalled = 0;
+            for (q, (a, b)) in with_rule.iter().zip(&without_rule).enumerate() {
+                assert_eq!(a.converged, a.stop == StopReason::Converged);
+                match a.stop {
+                    StopReason::Converged => {
+                        converged += 1;
+                        assert_eq!(a, b, "{kind} query {q}");
+                    }
+                    StopReason::Stalled => {
+                        stalled += 1;
+                        assert!(a.iterations < b.iterations, "{kind} query {q}");
+                    }
+                    other => panic!("{kind} query {q}: unexpected stop {other:?}"),
+                }
+            }
+            assert!(
+                converged >= 6 && stalled >= 1,
+                "{kind}: {converged} converged, {stalled} stalled"
+            );
+        }
+    }
+
+    #[test]
+    fn stall_rule_bounds_work_and_returns_the_best_tuple() {
+        // Flip noise p = 0.1 caps the rebind cosine near 0.8, so the 0.9 threshold is
+        // unreachable: without the rule the query burns the whole budget.
+        let (set, mut r) = standard_set(510, &[8, 8, 8], 1024);
+        let clean = set.bind_indices(&[1, 4, 6]).unwrap();
+        let query = ops::flip_noise(&clean, 0.1, &mut r);
+        let config = FactorizerConfig::default();
+        let window = config.stall_window;
+        let run = |config: FactorizerConfig| {
+            Factorizer::new(config)
+                .factorize(&set, &query, &mut rng(511))
+                .unwrap()
+        };
+
+        let stalled = run(config.clone());
+        assert_eq!(stalled.stop, StopReason::Stalled);
+        assert!(!stalled.converged);
+        assert!(stalled.iterations >= window);
+        assert!(
+            stalled.iterations <= config.max_iterations / 2,
+            "{stalled:?}"
+        );
+        let budget = run(without_stall_rule(config.clone()));
+        assert_eq!(budget.stop, StopReason::Budget);
+        assert_eq!(budget.iterations, config.max_iterations);
+
+        // The stalled result is exactly what a budget of the executed iterations
+        // returns: the best-so-far tuple and its similarity.
+        let capped = |k: usize| run(without_stall_rule(config.clone().with_max_iterations(k)));
+        let at_stop = capped(stalled.iterations);
+        assert_eq!(at_stop.stop, StopReason::Budget);
+        assert_eq!(
+            (&stalled.indices, stalled.similarity),
+            (&at_stop.indices, at_stop.similarity)
+        );
+        // And it stopped exactly `window` iterations after its last improvement: the
+        // best similarity was already reached at `iterations - window`, and not one
+        // iteration earlier.
+        let best_iteration = stalled.iterations - window;
+        assert_eq!(capped(best_iteration).similarity, stalled.similarity);
+        if best_iteration > 1 {
+            assert!(capped(best_iteration - 1).similarity < stalled.similarity);
+        }
+    }
+
+    #[test]
+    fn stall_rule_keeps_hard_regime_accuracy() {
+        // Paired accuracy gate: identical queries and noise seeds, with and without
+        // the rule, in the small-d / large-codebook regime where queries stall.
+        let (set, _) = standard_set(520, &[12, 12, 12], 256);
+        let trials = 400;
+        let evaluate = |config: &FactorizerConfig| {
+            AccuracyReport::evaluate("hard", &set, config, trials, 0.0, &mut rng(521))
+                .unwrap()
+                .stats
+        };
+        let with_rule = evaluate(&FactorizerConfig::default());
+        let without_rule = evaluate(&without_stall_rule(FactorizerConfig::default()));
+        assert!(with_rule.stalls > 0, "{with_rule:?}");
+        assert_eq!(without_rule.stalls, 0);
+        assert!(with_rule.total_iterations < without_rule.total_iterations);
+        let drop = without_rule.accuracy() - with_rule.accuracy();
+        assert!(
+            drop.abs() <= 0.02,
+            "accuracy {} with the rule vs {} without",
+            with_rule.accuracy(),
+            without_rule.accuracy()
+        );
+    }
+
+    #[test]
+    fn limit_cycle_ring_sees_exactly_the_last_window_tuples() {
+        // Deterministic dynamics, window 3: a tuple recurring 4 iterations later is
+        // outside the window, one recurring 3 iterations later is a limit cycle.
+        let config = FactorizerConfig {
+            limit_cycle_window: 3,
+            ..FactorizerConfig::without_stochasticity()
+        };
+        let mut state = QueryState::default();
+        state.reset(&config, 2, 1.0);
+        for (iteration, first) in [0usize, 1, 2, 3, 0].into_iter().enumerate() {
+            state.decoded = vec![first, 7];
+            assert!(
+                !state.finish_iteration(&config, 0.1, iteration + 1, true),
+                "iteration {}",
+                iteration + 1
+            );
+        }
+        state.decoded = vec![2, 7];
+        assert!(state.finish_iteration(&config, 0.1, 6, true));
+        let result = state.take_result(config.max_iterations);
+        assert_eq!(result.stop, StopReason::LimitCycle);
+        assert_eq!(result.iterations, config.max_iterations);
+        assert_eq!(result.indices, vec![0, 7], "the first, best tuple");
     }
 
     #[test]
@@ -1121,7 +1317,7 @@ mod tests {
             similarity: 1.0,
             iterations: 1,
             converged: true,
-            limit_cycle: false,
+            stop: StopReason::Converged,
         };
         assert!(r.matches(&[1, 2]));
         assert!(!r.matches(&[2, 1]));

@@ -20,7 +20,9 @@
 use crate::error::{ProblemFault, SolveError};
 use crate::plan::{PlanCache, PlanCacheStats, PlanKey, PlanStage, SolvePlan, NOMINAL_CANDIDATES};
 use cogsys_datasets::{Attribute, AttributeVocab, DatasetKind, Panel, Problem, RuleKind};
-use cogsys_factorizer::{Factorizer, FactorizerConfig, FactorizerScratch};
+use cogsys_factorizer::{
+    FactorizationResult, Factorizer, FactorizerConfig, FactorizerScratch, StopReason,
+};
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::{BindingOp, CleanupRoute, CodebookSet};
 use cogsys_vsa::packed::BitMatrix;
@@ -103,6 +105,10 @@ pub struct SolverReport {
     pub panels_total: usize,
     /// Total factorizer iterations (for the convergence-speed comparison).
     pub factorizer_iterations: usize,
+    /// Factorizer queries stopped by the stagnation rule ([`StopReason::Stalled`]).
+    pub factorizer_stalls: usize,
+    /// Factorizer queries that ran out the iteration budget ([`StopReason::Budget`]).
+    pub factorizer_budget_stops: usize,
 }
 
 impl SolverReport {
@@ -130,6 +136,20 @@ impl SolverReport {
         self.panels_exact += other.panels_exact;
         self.panels_total += other.panels_total;
         self.factorizer_iterations += other.factorizer_iterations;
+        self.factorizer_stalls += other.factorizer_stalls;
+        self.factorizer_budget_stops += other.factorizer_budget_stops;
+    }
+
+    /// Adds the iteration and stop counts of one factorize call.
+    fn record_factorizations(&mut self, results: &[FactorizationResult]) {
+        for r in results {
+            self.factorizer_iterations += r.iterations;
+            match r.stop {
+                StopReason::Stalled => self.factorizer_stalls += 1,
+                StopReason::Budget => self.factorizer_budget_stops += 1,
+                StopReason::Converged | StopReason::LimitCycle => {}
+            }
+        }
     }
 }
 
@@ -732,9 +752,22 @@ impl NeurosymbolicSolver {
         panels: &[Panel],
         rng: &mut R,
     ) -> Result<(Vec<Panel>, usize), VsaError> {
+        let mut report = SolverReport::default();
+        let decoded = self.perceive_and_factorize_counted(panels, rng, &mut report)?;
+        Ok((decoded, report.factorizer_iterations))
+    }
+
+    /// [`NeurosymbolicSolver::perceive_and_factorize_batch`] adding the factorizer's
+    /// iteration and stop counts to `report`.
+    fn perceive_and_factorize_counted<R: Rng + ?Sized>(
+        &self,
+        panels: &[Panel],
+        rng: &mut R,
+        report: &mut SolverReport,
+    ) -> Result<Vec<Panel>, VsaError> {
         let n = panels.len();
         if n == 0 {
-            return Ok((Vec::new(), 0));
+            return Ok(Vec::new());
         }
 
         // Perception noise (panel order matches the sequential path).
@@ -780,12 +813,11 @@ impl NeurosymbolicSolver {
         // block's product vector acts as bounded superposition noise.
         let mut ds = DecodeScratch::default();
         let mut values = vec![[0usize; 5]; n];
-        let mut iterations = 0usize;
         for (set, attrs) in &self.blocks {
             let mut streams: Vec<StdRng> = (0..n)
                 .map(|_| StdRng::seed_from_u64(rng.next_u64()))
                 .collect();
-            iterations += self.decode_block_into(
+            self.decode_block_into(
                 set,
                 attrs,
                 Some(&encoded),
@@ -796,22 +828,20 @@ impl NeurosymbolicSolver {
                 // Routes are re-derived per call on this unplanned entry point,
                 // mirroring what compile_plan would resolve.
                 None,
+                report,
             )?;
         }
         // Decoded values range over the configured vocab, which may exceed
         // `Panel::new`'s RAVEN bounds; the clamp above keeps them in-vocab.
-        Ok((
-            values.into_iter().map(Panel::new_unchecked).collect(),
-            iterations,
-        ))
+        Ok(values.into_iter().map(Panel::new_unchecked).collect())
     }
 
     /// Factorizes every row of the encoded scene batch against one attribute block,
     /// runs the one-sweep coordinate-descent polish, and writes the block's decoded
-    /// attribute values into `values` (row-indexed). Returns the total factorizer
-    /// iterations. This is the shared decode stage of the per-problem and the
-    /// cross-problem batched paths — sharing it is what makes the two
-    /// decision-identical per row by construction.
+    /// attribute values into `values` (row-indexed), adding the factorizer's
+    /// iteration and stop counts to `report`. This is the shared decode stage of
+    /// the per-problem and the cross-problem batched paths — sharing it is what
+    /// makes the two decision-identical per row by construction.
     ///
     /// The polish sweep repairs single-attribute decode errors cheaply with the same
     /// unbind→search primitive the factorizer iterates — one gather + batched unbind
@@ -831,7 +861,8 @@ impl NeurosymbolicSolver {
         ds: &mut DecodeScratch,
         values: &mut [[usize; 5]],
         routes: Option<&[CleanupRoute]>,
-    ) -> Result<usize, VsaError> {
+        report: &mut SolverReport,
+    ) -> Result<(), VsaError> {
         let DecodeScratch {
             factorizer: fscratch,
             tuples,
@@ -856,7 +887,7 @@ impl NeurosymbolicSolver {
                     .factorize_matrix_scratch(set, queries, streams, fscratch)?
             }
         };
-        let iterations = results.iter().map(|r| r.iterations).sum::<usize>();
+        report.record_factorizations(&results);
 
         tuples.resize_with(results.len(), Vec::new);
         for (t, r) in tuples.iter_mut().zip(&results) {
@@ -925,7 +956,7 @@ impl NeurosymbolicSolver {
                 values[row][attr_index] = idx.min(vocab.cardinality(attr) - 1);
             }
         }
-        Ok(iterations)
+        Ok(())
     }
 
     /// Abduces the rule governing one attribute from the two complete rows and executes
@@ -1048,9 +1079,8 @@ impl NeurosymbolicSolver {
 
         // Perception + factorization of the eight context panels, as one batch through
         // the backend's kernels.
-        let (decoded, iterations) = self.perceive_and_factorize_batch(&problem.context, rng)?;
+        let decoded = self.perceive_and_factorize_counted(&problem.context, rng, &mut report)?;
         report.panels_total += decoded.len();
-        report.factorizer_iterations += iterations;
         report.panels_exact += decoded
             .iter()
             .zip(&problem.context)
@@ -1389,7 +1419,6 @@ impl NeurosymbolicSolver {
         // phase 1 — per-row dynamics identical to the per-problem call.
         values.clear();
         values.resize(total_rows, [0usize; 5]);
-        let mut iterations = 0usize;
         for (b, (set, attrs)) in self.blocks.iter().enumerate() {
             streams.clear();
             for (q, problem) in problems.iter().enumerate() {
@@ -1399,7 +1428,7 @@ impl NeurosymbolicSolver {
                     streams.push(StdRng::seed_from_u64(seeds[sb + b * rows_q + r]));
                 }
             }
-            iterations += self.decode_block_into(
+            self.decode_block_into(
                 set,
                 attrs,
                 if packed_route { None } else { Some(&*encoded) },
@@ -1412,9 +1441,9 @@ impl NeurosymbolicSolver {
                 decode,
                 values,
                 plan.polish_routes(b),
+                &mut report,
             )?;
         }
-        report.factorizer_iterations = iterations;
         if let Some(t) = timings.as_deref_mut() {
             let now = Instant::now();
             t.decode += now.duration_since(mark).as_nanos() as u64;
@@ -1576,6 +1605,8 @@ mod tests {
             panels_exact: 10,
             panels_total: 16,
             factorizer_iterations: 40,
+            factorizer_stalls: 1,
+            factorizer_budget_stops: 0,
         };
         let b = SolverReport {
             problems: 2,
@@ -1583,13 +1614,53 @@ mod tests {
             panels_exact: 16,
             panels_total: 16,
             factorizer_iterations: 30,
+            factorizer_stalls: 2,
+            factorizer_budget_stops: 1,
         };
         a.merge(&b);
         assert_eq!(a.problems, 4);
+        assert_eq!(a.factorizer_iterations, 70);
+        assert_eq!(a.factorizer_stalls, 3);
+        assert_eq!(a.factorizer_budget_stops, 1);
         assert!((a.accuracy() - 0.75).abs() < 1e-12);
         assert!((a.factorization_accuracy() - 26.0 / 32.0).abs() < 1e-12);
         assert_eq!(SolverReport::default().accuracy(), 0.0);
         assert_eq!(SolverReport::default().factorization_accuracy(), 0.0);
+    }
+
+    #[test]
+    fn reports_count_stalled_and_budget_stopped_queries() {
+        // At d = 512 some PGM block decodes never reach the threshold; the
+        // stagnation rule stops them well before the budget, and the batched and
+        // per-problem paths count them identically.
+        let config = SolverConfig {
+            vector_dim: 512,
+            ..SolverConfig::default()
+        };
+        let (s, mut r) = solver(14, config);
+        let problems = ProblemGenerator::new(DatasetKind::Pgm).generate_batch(8, &mut r);
+        let batched = s.solve_batch(&problems, &mut rng(15)).unwrap();
+        assert!(batched.factorizer_stalls > 0, "{batched:?}");
+        assert_eq!(batched.factorizer_budget_stops, 0);
+        let mut sequential = SolverReport::default();
+        let mut r2 = rng(15);
+        for problem in &problems {
+            sequential.merge(&s.solve(problem, &mut r2).unwrap().1);
+        }
+        assert_eq!(batched, sequential);
+
+        let no_rule = {
+            let mut config = s.config().clone();
+            config.factorizer.stall_window = config.factorizer.max_iterations;
+            NeurosymbolicSolver::new(config, &mut rng(14))
+        };
+        // Same codebooks and streams without the rule: every query that ran out the
+        // budget there stalls here (the rule can also cut a late converger).
+        let budget = no_rule.solve_batch(&problems, &mut rng(15)).unwrap();
+        assert_eq!(budget.factorizer_stalls, 0);
+        assert!(budget.factorizer_budget_stops > 0);
+        assert!(budget.factorizer_budget_stops <= batched.factorizer_stalls);
+        assert!(budget.factorizer_iterations > batched.factorizer_iterations);
     }
 
     #[test]

@@ -56,7 +56,10 @@ fn main() {
         result.iterations,
         flat.config().max_iterations
     );
-    println!("  converged          : {}", result.converged);
+    println!(
+        "  converged          : {} (stopped: {:?})",
+        result.converged, result.stop
+    );
     if !result.converged {
         println!("  -> expected: F=5 at d=1024 exceeds the resonator's capacity.");
     }
