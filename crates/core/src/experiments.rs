@@ -226,7 +226,9 @@ pub fn backend_throughput_records(
                 // Fused projection → sign threshold: the packed backend runs the SoA
                 // lane-blocked kernel on its cached sign planes; the dense backends
                 // run their projection GEMM followed by sign packing, which is the
-                // pre-packed pipeline's shape for the same step.
+                // pre-packed pipeline's shape for the same step. The infinite noise
+                // bound keeps the dominance shortcut off, so the packed cell times
+                // the full tile for every row.
                 let mut proj_bits = BitMatrix::default();
                 let mut proj_acc: Vec<f32> = Vec::new();
                 let mut proj_dense = HvMatrix::default();
@@ -236,6 +238,7 @@ pub fn backend_throughput_records(
                         packed.project_signs_packed_into(
                             cb_bits,
                             &weights,
+                            |_| f32::INFINITY,
                             |_, _| {},
                             &mut proj_acc,
                             &mut proj_bits,

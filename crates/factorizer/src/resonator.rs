@@ -158,6 +158,12 @@ impl BoundedNoise {
     /// bitwise-identical accumulators, so their skip patterns and therefore their
     /// decisions stay identical at every precision.
     ///
+    /// The skip rule meets the `noise_bound` contract of
+    /// [`cogsys_vsa::packed::PackedBackend::project_signs_packed_into`] with the
+    /// bound [`BoundedNoise::amplitude`]: a slice whose every `|v| > amplitude`
+    /// gets no writes and draws nothing from `rng`, so the packed engine may skip
+    /// the call for such a row without moving the stream.
+    ///
     /// On top of the per-element skip sits a **word-level early-out**: the slice is
     /// walked in [`NOISE_CHUNK_DIMS`]-wide blocks (one packed sign-plane word), and
     /// a block whose minimum `|v|` exceeds the amplitude is skipped without testing
@@ -957,10 +963,18 @@ impl Factorizer {
                 // the per-query noise injection and sign threshold fused, written
                 // straight back into the estimate plane. Accumulation order matches
                 // the dense `project_batch_into` bitwise, so decisions are identical
-                // to the dense engine on the same noise streams.
+                // to the dense engine on the same noise streams. The noise amplitude
+                // is the kernel's dominance bound: a row whose top similarity fixes
+                // every sign beyond it draws nothing in `perturb_signs`, so the
+                // kernel writes the ±codebook row instead of projecting it.
                 packed.project_signs_packed_into(
                     cb_bits,
                     sims,
+                    |slot| {
+                        states[order[slot]]
+                            .proj_noise
+                            .map_or(0.0, |n| n.amplitude())
+                    },
                     |slot, acc| {
                         let q = order[slot];
                         if let Some(noise) = &states[q].proj_noise {

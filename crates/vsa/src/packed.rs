@@ -700,6 +700,67 @@ fn project_tile_fn() -> ProjTileFn {
     project_tile_word_generic
 }
 
+/// The dominance test of [`PackedBackend::project_signs_packed_into`] (the
+/// rounding proof is there): `Some((k, w_k < 0))` when weight `k` fixes the sign
+/// of every accumulator beyond `bound`. The slack must also be positive, so a
+/// negative bound never admits a row whose sums could round to zero. NaN weights
+/// or a NaN bound yield `None`.
+fn dominant_weight(weights: &[f32], bound: f32) -> Option<(usize, bool)> {
+    let (mut k, mut top, mut total) = (0, 0.0f64, 0.0f64);
+    for (m, &w) in weights.iter().enumerate() {
+        let mag = f64::from(w.abs());
+        total += mag;
+        if mag > top {
+            (k, top) = (m, mag);
+        }
+    }
+    let slack = top - (total - top) - weights.len() as f64 * f64::from(f32::EPSILON) * total;
+    (slack > 0.0 && slack > f64::from(bound)).then(|| (k, weights[k] < 0.0))
+}
+
+/// Projects up to [`PROJ_LANE_ROWS`] weight rows (`rows`, ascending) through the
+/// SoA tile, then runs `perturb` and the sign packing per row in order — the full
+/// path of [`PackedBackend::project_signs_packed_into`].
+fn project_lane_block<F: FnMut(usize, &mut [f32])>(
+    codebook: &BitMatrix,
+    weights: &HvMatrix,
+    rows: &[usize],
+    tile_word: ProjTileFn,
+    perturb: &mut F,
+    acc: &mut Vec<f32>,
+    out: &mut BitMatrix,
+) {
+    let dim = codebook.dim();
+    let wpr = codebook.words_per_row();
+    let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
+    for (lane, &q) in lanes.iter_mut().zip(rows) {
+        *lane = weights.row(q);
+    }
+    let lanes = &lanes[..rows.len()];
+    acc.clear();
+    acc.resize(rows.len() * dim, 0.0);
+    for wi in 0..if codebook.rows() > 0 { wpr } else { 0 } {
+        let base = wi * WORD_BITS;
+        let width = (dim - base).min(WORD_BITS);
+        // The per-word tile: 64 dims × 8 lanes of f32, accumulated across every
+        // codebook row while both the tile and the strided column of codebook
+        // words stay cache-hot.
+        let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
+        let column = codebook.words[wi..].iter().step_by(wpr);
+        for (m, &word) in column.take(codebook.rows()).enumerate() {
+            tile_word(&mut tile, lanes, m, word);
+        }
+        for (lane, row) in tile.iter().enumerate().take(rows.len()) {
+            let dst = lane * dim + base;
+            acc[dst..dst + width].copy_from_slice(&row[..width]);
+        }
+    }
+    for (acc_row, &q) in acc.chunks_exact_mut(dim).zip(rows) {
+        perturb(q, acc_row);
+        out.pack_signs_row(q, acc_row);
+    }
+}
+
 impl BitMatrix {
     /// Number of `u64` words needed per row of dimension `dim`.
     pub fn words_for_dim(dim: usize) -> usize {
@@ -1626,23 +1687,41 @@ impl PackedBackend {
     /// addends in ascending codebook-row order regardless of the lane blocking below,
     /// so the result equals the dense `project_batch_into` + threshold exactly.
     ///
-    /// Layout: queries are processed [`PROJ_LANE_ROWS`] at a time in an SoA sweep —
-    /// the *word index* is the outer loop and the codebook row the inner one, so each
-    /// sign-plane word is loaded once per 8 queries (instead of once per query) and
-    /// the 64-dim × 8-lane accumulator tile stays L1-resident across the whole
-    /// codebook-row sweep. `perturb(q, acc_row)` and the sign packing still run per
-    /// query in ascending `q` order, so noise-stream consumption is unchanged.
+    /// **Dominance shortcut.** A row whose largest-magnitude weight `w_k` outweighs
+    /// all the others plus the noise bound — `|w_k| − Σ_{m≠k}|w_m| > noise_bound(q) +
+    /// M·ε·Σ_m|w_m|` (sums in `f64`, `M` codebook rows, `ε = f32::EPSILON`) — gets
+    /// codebook row `k`'s words as its output (inverted when `w_k < 0`), and neither
+    /// the tile nor `perturb` runs for it. This is bitwise exact: sequential `f32`
+    /// summation of `M` terms is off by at most `γ_{M−1}·Σ|w| < M·ε·Σ|w|`, so every
+    /// accumulator has the sign of `w_k·codebook[k][j]` and a magnitude above
+    /// `noise_bound(q)`, where the perturbation must not act. NaN weights (and a NaN
+    /// bound) make the test false, so such rows take the full path.
+    ///
+    /// The `noise_bound` contract: `perturb(q, row)` must be a no-op — no writes, no
+    /// draws from any stream — whenever every `|row[j]| > noise_bound(q)`. A hook
+    /// that adds unbounded perturbations passes `f32::INFINITY`, which never takes
+    /// the shortcut.
+    ///
+    /// Layout: the remaining rows are processed [`PROJ_LANE_ROWS`] at a time, in
+    /// ascending order, in an SoA sweep — the *word index* is the outer loop and the
+    /// codebook row the inner one, so each sign-plane word is loaded once per 8
+    /// queries (instead of once per query) and the 64-dim × 8-lane accumulator tile
+    /// stays L1-resident across the whole codebook-row sweep. `perturb(q, acc_row)`
+    /// and the sign packing still run per query in ascending `q` order, so
+    /// noise-stream consumption is unchanged.
     ///
     /// `acc` is caller-owned scratch (resized to at most
     /// `PROJ_LANE_ROWS · codebook.dim()`), so steady-state calls allocate nothing.
-    pub fn project_signs_packed_into<F>(
+    pub fn project_signs_packed_into<B, F>(
         &self,
         codebook: &BitMatrix,
         weights: &HvMatrix,
+        noise_bound: B,
         mut perturb: F,
         acc: &mut Vec<f32>,
         out: &mut BitMatrix,
     ) where
+        B: Fn(usize) -> f32,
         F: FnMut(usize, &mut [f32]),
     {
         debug_assert_eq!(
@@ -1650,40 +1729,49 @@ impl PackedBackend {
             codebook.rows(),
             "one weight per codebook row"
         );
-        let dim = codebook.dim();
-        out.ensure_shape(weights.rows(), dim);
+        out.ensure_shape(weights.rows(), codebook.dim());
         let wpr = codebook.words_per_row();
+        let tail = BitMatrix::tail_mask(codebook.dim());
         let tile_word = project_tile_fn();
-        for block_start in (0..weights.rows()).step_by(PROJ_LANE_ROWS) {
-            let block_len = (weights.rows() - block_start).min(PROJ_LANE_ROWS);
-            let mut lanes: [&[f32]; PROJ_LANE_ROWS] = [&[]; PROJ_LANE_ROWS];
-            for (lane, row) in lanes.iter_mut().enumerate().take(block_len) {
-                *row = weights.row(block_start + lane);
-            }
-            acc.clear();
-            acc.resize(block_len * dim, 0.0);
-            for wi in 0..if codebook.rows() > 0 { wpr } else { 0 } {
-                let base = wi * WORD_BITS;
-                let width = (dim - base).min(WORD_BITS);
-                // The per-word tile: 64 dims × 8 lanes of f32, accumulated across
-                // every codebook row while both the tile and the strided column of
-                // codebook words stay cache-hot.
-                let mut tile = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
-                let column = codebook.words[wi..].iter().step_by(wpr);
-                for (m, &word) in column.take(codebook.rows()).enumerate() {
-                    tile_word(&mut tile, &lanes[..block_len], m, word);
+        let mut lane_rows = [0usize; PROJ_LANE_ROWS];
+        let mut block_len = 0;
+        for q in 0..weights.rows() {
+            if let Some((k, negative)) = dominant_weight(weights.row(q), noise_bound(q)) {
+                let dst = &mut out.words[q * wpr..(q + 1) * wpr];
+                dst.copy_from_slice(codebook.row_words(k));
+                if negative {
+                    for word in dst.iter_mut() {
+                        *word = !*word;
+                    }
+                    dst[wpr - 1] &= tail;
                 }
-                for (lane, row) in tile.iter().enumerate().take(block_len) {
-                    let dst = lane * dim + base;
-                    acc[dst..dst + width].copy_from_slice(&row[..width]);
-                }
+                continue;
             }
-            for lane in 0..block_len {
-                let q = block_start + lane;
-                let acc_row = &mut acc[lane * dim..(lane + 1) * dim];
-                perturb(q, acc_row);
-                out.pack_signs_row(q, acc_row);
+            lane_rows[block_len] = q;
+            block_len += 1;
+            if block_len == PROJ_LANE_ROWS {
+                project_lane_block(
+                    codebook,
+                    weights,
+                    &lane_rows,
+                    tile_word,
+                    &mut perturb,
+                    acc,
+                    out,
+                );
+                block_len = 0;
             }
+        }
+        if block_len > 0 {
+            project_lane_block(
+                codebook,
+                weights,
+                &lane_rows[..block_len],
+                tile_word,
+                &mut perturb,
+                acc,
+                out,
+            );
         }
     }
 
@@ -2040,6 +2128,7 @@ mod tests {
             packed.project_signs_packed_into(
                 &cb_bits,
                 &weights,
+                |_| f32::INFINITY,
                 |_, row| seen.push(row.to_vec()),
                 &mut acc,
                 &mut out,
@@ -2062,6 +2151,7 @@ mod tests {
             packed.project_signs_packed_into(
                 &cb_bits,
                 &weights,
+                |_| f32::INFINITY,
                 |q, row| {
                     for (j, v) in row.iter_mut().enumerate() {
                         *v += ((q + j) % 3) as f32 - 1.0;
@@ -2301,6 +2391,58 @@ mod tests {
             kernels
         }
 
+        /// The AVX2 projection tile equals the generic tile bitwise whenever the
+        /// CPU has avx2 — pinned directly, because the dispatched kernel is the
+        /// only one the projection suites reach on an avx2+ host. Words cover all
+        /// clear, all set and random bits; weights cover ±0.0, subnormals and
+        /// random reals, over 1–8 lanes and multi-row accumulation.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn avx2_projection_tile_matches_generic_bitwise() {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                return;
+            }
+            let specials = [
+                0.0f32,
+                -0.0,
+                f32::from_bits(1),
+                -f32::from_bits(1),
+                f32::MIN_POSITIVE / 3.0,
+                -f32::MIN_POSITIVE / 3.0,
+            ];
+            let mut r = rng(0x711E);
+            for lanes_n in 1..=PROJ_LANE_ROWS {
+                for trial in 0..24 {
+                    let rows = 1 + trial % 11;
+                    let lanes: Vec<Vec<f32>> = (0..lanes_n)
+                        .map(|_| {
+                            (0..rows)
+                                .map(|_| match r.gen_range(0..3) {
+                                    0 => specials[r.gen_range(0..specials.len())],
+                                    _ => (r.gen::<f32>() - 0.5) * 8.0,
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let lane_refs: Vec<&[f32]> = lanes.iter().map(Vec::as_slice).collect();
+                    let mut generic = [[0.0f32; WORD_BITS]; PROJ_LANE_ROWS];
+                    let mut avx2 = generic;
+                    for m in 0..rows {
+                        let word = match r.gen_range(0..3) {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => r.gen::<u64>(),
+                        };
+                        project_tile_word_generic(&mut generic, &lane_refs, m, word);
+                        simd::project_tile_word_avx2_checked(&mut avx2, &lane_refs, m, word);
+                    }
+                    for (g, a) in generic.iter().flatten().zip(avx2.iter().flatten()) {
+                        assert_eq!(g.to_bits(), a.to_bits(), "lanes {lanes_n} trial {trial}");
+                    }
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -2359,6 +2501,7 @@ mod tests {
                 backend.project_signs_packed_into(
                     &codebook,
                     &weights,
+                    |_| f32::INFINITY,
                     |q, row| {
                         if noisy {
                             for (slot, z) in row.iter_mut().zip(&perturb_values[q * dim..]) {
@@ -2400,6 +2543,254 @@ mod tests {
                 prop_assert_eq!(soa_seen, ref_seen);
                 for q in 0..queries {
                     prop_assert_eq!(soa_out.row_words(q), ref_out.row_words(q));
+                }
+            }
+        }
+    }
+
+    mod dominance_props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        /// What one projection call produced, as observed through its hook.
+        struct Run {
+            out: BitMatrix,
+            /// Hook calls per row.
+            calls: Vec<usize>,
+            /// Accumulators each row handed to the hook, before perturbing.
+            seen: Vec<Option<Vec<f32>>>,
+            /// The shared stream's next word after the call.
+            stream_next: u64,
+        }
+
+        /// One projection call whose hook honours the `noise_bound` contract: it
+        /// adds a draw from one shared stream to every element with
+        /// `|v| <= bounds[q]`, so a row it would leave alone draws nothing.
+        /// Without `shortcut` the kernel gets `f32::INFINITY` as its bound.
+        fn run(codebook: &BitMatrix, weights: &HvMatrix, bounds: &[f32], shortcut: bool) -> Run {
+            let queries = weights.rows();
+            let mut calls = vec![0usize; queries];
+            let mut seen = vec![None; queries];
+            let mut stream = rng(0xD0);
+            let mut out = BitMatrix::default();
+            PackedBackend::new().project_signs_packed_into(
+                codebook,
+                weights,
+                |q| if shortcut { bounds[q] } else { f32::INFINITY },
+                |q, row| {
+                    calls[q] += 1;
+                    seen[q] = Some(row.to_vec());
+                    for v in row.iter_mut() {
+                        if v.abs() <= bounds[q] {
+                            *v += (stream.gen::<f32>() * 2.0 - 1.0) * bounds[q];
+                        }
+                    }
+                },
+                &mut Vec::new(),
+                &mut out,
+            );
+            let stream_next = stream.gen::<u64>();
+            Run {
+                out,
+                calls,
+                seen,
+                stream_next,
+            }
+        }
+
+        /// Runs the call with the given bounds and with `f32::INFINITY`, and pins
+        /// the shortcut: identical output words, clean tail padding, identical
+        /// final stream state, one hook call per full row and none per shortcut
+        /// row — and for every shortcut row the full path's accumulators all lie
+        /// beyond the bound with the signs the shortcut wrote. Returns which rows
+        /// took the shortcut.
+        fn check_against_full_path(
+            codebook: &BitMatrix,
+            weights: &HvMatrix,
+            bounds: &[f32],
+        ) -> Vec<bool> {
+            let fast = run(codebook, weights, bounds, true);
+            let full = run(codebook, weights, bounds, false);
+            let tail = BitMatrix::tail_mask(codebook.dim());
+            let mut skipped = Vec::new();
+            for (q, &bound) in bounds.iter().enumerate() {
+                assert_eq!(fast.out.row_words(q), full.out.row_words(q), "row {q}");
+                assert_eq!(fast.out.row_words(q).last().unwrap() & !tail, 0, "row {q}");
+                assert_eq!(full.calls[q], 1, "row {q}");
+                let predicted = dominant_weight(weights.row(q), bound).is_some();
+                assert_eq!(fast.calls[q], usize::from(!predicted), "row {q}");
+                if predicted {
+                    let acc = full.seen[q].as_ref().unwrap();
+                    let mut signs = BitMatrix::zeros(1, codebook.dim());
+                    signs.pack_signs_row(0, acc);
+                    assert!(acc.iter().all(|v| v.abs() > bound), "row {q}");
+                    assert_eq!(signs.row_words(0), fast.out.row_words(q), "row {q}");
+                } else {
+                    let bits = |seen: &Option<Vec<f32>>| -> Vec<u32> {
+                        seen.iter().flatten().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&fast.seen[q]), bits(&full.seen[q]), "row {q}");
+                }
+                skipped.push(predicted);
+            }
+            assert_eq!(fast.stream_next, full.stream_next);
+            skipped
+        }
+
+        /// The smallest `f32` value of `weights[k]` (sign kept from `sign`) at which
+        /// the row passes the dominance test under `bound`.
+        fn threshold_weight(weights: &mut [f32], k: usize, sign: f32, bound: f32) -> f32 {
+            let rest: f32 = weights
+                .iter()
+                .enumerate()
+                .filter(|&(m, _)| m != k)
+                .map(|(_, w)| w.abs())
+                .sum();
+            let mut passes = |x: f32| {
+                weights[k] = sign * x;
+                dominant_weight(weights, bound).is_some()
+            };
+            let mut x = (rest + bound).max(f32::MIN_POSITIVE);
+            for _ in 0..64 {
+                if !passes(x.next_down()) {
+                    break;
+                }
+                x = x.next_down();
+            }
+            for _ in 0..100_000 {
+                if passes(x) {
+                    return x;
+                }
+                x = x.next_up();
+            }
+            panic!("no dominance threshold found near {x}");
+        }
+
+        fn weights_from(rows: &[Vec<f32>]) -> HvMatrix {
+            let m = rows[0].len();
+            HvMatrix::from_vec(rows.concat(), rows.len(), m).unwrap()
+        }
+
+        #[test]
+        fn shortcut_writes_the_signed_codebook_row() {
+            let dim = 70;
+            let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(3, dim, 41)).unwrap();
+            let tail = BitMatrix::tail_mask(dim);
+            let nan = f32::NAN;
+            let rows = [
+                vec![10.0, 1.0, 1.0],   // dominant, positive
+                vec![1.0, -10.0, 1.0],  // dominant, negative
+                vec![5.0, -5.0, 0.5],   // tied maximum magnitudes
+                vec![nan, 10.0, 0.0],   // NaN weight
+                vec![0.0, -0.0, 3.0],   // signed zeros around a dominant weight
+                vec![0.0, -0.0, 0.0],   // all zero: nothing dominates
+                vec![-0.0, -3.0, -0.0], // negative dominant among negative zeros
+                vec![2.0, 1.0, 0.5],    // dominant, but not past the bound
+            ];
+            let weights = weights_from(&rows);
+            let bounds = [2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0];
+            let skipped = check_against_full_path(&codebook, &weights, &bounds);
+            assert_eq!(
+                skipped,
+                [true, true, false, false, true, false, true, false]
+            );
+            let fast = run(&codebook, &weights, &bounds, true);
+            assert_eq!(fast.out.row_words(0), codebook.row_words(0));
+            assert_eq!(fast.out.row_words(4), codebook.row_words(2));
+            for (q, k) in [(1, 1), (6, 1)] {
+                let inverted: Vec<u64> = codebook.row_words(k).iter().map(|w| !w).collect();
+                let (last, body) = inverted.split_last().unwrap();
+                assert_eq!(&fast.out.row_words(q)[..body.len()], body);
+                assert_eq!(*fast.out.row_words(q).last().unwrap(), last & tail);
+            }
+        }
+
+        #[test]
+        fn single_codebook_row_and_nan_bound() {
+            for dim in [64usize, 70, 200] {
+                let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(1, dim, 7)).unwrap();
+                let weights = weights_from(&[vec![4.0], vec![-4.0], vec![0.5], vec![4.0]]);
+                let bounds = [1.0, 1.0, 1.0, f32::NAN];
+                let skipped = check_against_full_path(&codebook, &weights, &bounds);
+                assert_eq!(skipped, [true, true, false, false], "dim {dim}");
+            }
+        }
+
+        #[test]
+        fn threshold_is_exact_on_both_sides() {
+            let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(5, 200, 9)).unwrap();
+            for (bound, sign) in [(0.0f32, 1.0f32), (1.7, 1.0), (1.7, -1.0), (1e-3, -1.0)] {
+                let mut above = vec![0.3, -0.25, 0.0, 1.1, -0.6];
+                let x = threshold_weight(&mut above, 2, sign, bound);
+                let mut below = above.clone();
+                below[2] = sign * x.next_down();
+                assert!(dominant_weight(&below, bound).is_none());
+                let weights = weights_from(&[above, below]);
+                let skipped = check_against_full_path(&codebook, &weights, &[bound, bound]);
+                assert_eq!(skipped, [true, false], "bound {bound} sign {sign}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Batches of 1–20 rows mixing every row kind — random, forced dominant
+            /// of either sign, just above and just below the threshold, NaN, tied
+            /// maxima and signed zeros — so shortcut rows interleave with full rows
+            /// across the 8-lane block boundary.
+            #[test]
+            fn prop_dominance_shortcut_matches_full_path(
+                seed in 0u64..1000,
+                dim_sel in 0usize..3,
+                cb_rows in 1usize..12,
+                queries in 1usize..21,
+            ) {
+                let dim = [64usize, 70, 200][dim_sel];
+                let codebook = BitMatrix::from_matrix(&random_bipolar_matrix(cb_rows, dim, seed)).unwrap();
+                let mut r = rng(seed ^ 0xD011);
+                let mut rows = Vec::new();
+                let mut bounds = Vec::new();
+                let mut forced = Vec::new();
+                for _ in 0..queries {
+                    let bound = [0.0f32, 0.5, 3.0][r.gen_range(0..3usize)];
+                    let mut w: Vec<f32> = (0..cb_rows).map(|_| (r.gen::<f32>() - 0.5) * 3.0).collect();
+                    let k = r.gen_range(0..cb_rows);
+                    let sign = if r.gen_bool(0.5) { 1.0 } else { -1.0 };
+                    let rest: f32 = w.iter().map(|v| v.abs()).sum::<f32>() - w[k].abs();
+                    let kind = r.gen_range(0..7);
+                    match kind {
+                        1 => w[k] = sign * (2.0 * (rest + bound) + 1.0),
+                        2 => { threshold_weight(&mut w, k, sign, bound); }
+                        3 => {
+                            let x = threshold_weight(&mut w, k, sign, bound);
+                            w[k] = sign * x.next_down();
+                        }
+                        4 => {
+                            w[k] = sign * (2.0 * (rest + bound) + 1.0);
+                            w[r.gen_range(0..cb_rows)] = f32::NAN;
+                        }
+                        5 if cb_rows > 1 => {
+                            let other = (k + 1) % cb_rows;
+                            w[k] = sign * (2.0 * (rest + bound) + 1.0);
+                            w[other] = -w[k];
+                        }
+                        6 => {
+                            for (m, v) in w.iter_mut().enumerate() {
+                                *v = if m % 2 == 0 { 0.0 } else { -0.0 };
+                            }
+                            w[k] = sign * (bound + 1.0);
+                        }
+                        _ => {}
+                    }
+                    forced.push(matches!(kind, 1 | 6));
+                    rows.push(w);
+                    bounds.push(bound);
+                }
+                let weights = weights_from(&rows);
+                let skipped = check_against_full_path(&codebook, &weights, &bounds);
+                for (q, (&f, &s)) in forced.iter().zip(&skipped).enumerate() {
+                    prop_assert!(!f || s, "forced-dominant row {} took the full path", q);
                 }
             }
         }

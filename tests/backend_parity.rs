@@ -220,7 +220,7 @@ proptest! {
         // Packed path: the same perturbation runs fused inside the kernel.
         let packed = PackedBackend::new();
         let (mut out, mut acc) = (BitMatrix::default(), Vec::new());
-        packed.project_signs_packed_into(&cb_bits, &weights, |q, row| {
+        packed.project_signs_packed_into(&cb_bits, &weights, |_| f32::INFINITY, |q, row| {
             if with_noise {
                 let mut stream = rand::rngs::StdRng::seed_from_u64(seed + q as u64);
                 for v in row.iter_mut() {
