@@ -1,12 +1,12 @@
-//! Backend comparison (reference vs parallel vs bit-packed) on the two hot batch
-//! kernels: circular-convolution binding and codebook cleanup, across dimensionality
+//! Backend comparison (dense vs bit-packed) on the two hot batch kernels:
+//! circular-convolution binding and codebook cleanup, across dimensionality
 //! d ∈ {256, 1024, 4096} and batch size ∈ {1, 32, 256}.
 //!
 //! Run with `cargo bench --bench backends`. The headline acceptance number is the
-//! `packed` cleanup speedup at d = 1024, batch = 256 (the packed backend reads the
-//! codebook's cached sign planes and only packs the queries per call); on circular
-//! convolution the packed backend falls back to the dense parallel kernels, so its
-//! bind rows double as a fallback-overhead check.
+//! `packed` cleanup speedup over `dense` at d = 1024, batch = 256 (the packed backend
+//! reads the codebook's cached sign planes and only packs the queries per call); on
+//! circular convolution the packed backend delegates to its wrapped dense backend, so
+//! its bind rows double as a fallback-delegation-overhead check.
 
 use cogsys_vsa::batch::{BackendKind, HvMatrix, VsaBackend};
 use cogsys_vsa::codebook::BindingOp;

@@ -8,16 +8,18 @@
 //! plus the **large-codebook cleanup** cells — `cleanup_indexed` at 10^4 and 10^5
 //! rows (10^6 with `BENCH_LARGE=1`), pitting the pruned exact `CleanupIndex` scan
 //! (`packed`) against the flat linear packed scan (`reference`) — prints the
-//! speedup table, and writes the raw
+//! speedup-over-dense table, and writes the raw
 //! `(backend, kernel, dim, batch) → ns/op` records to `BENCH_backends.json` in the
 //! current directory — the file the CI bench-smoke step publishes so the perf
 //! trajectory is tracked across PRs.
 //!
 //! **Regression guard:** before overwriting, the committed `BENCH_backends.json` is
-//! read as the baseline; if any packed-backend kernel slowed down by more than 1.3×,
-//! the binary prints the offending cells and exits non-zero, failing the CI
-//! bench-smoke step. Set `BENCH_GUARD=off` to record a new baseline without gating
-//! (e.g. after an intentional trade-off or a hardware change).
+//! read as the baseline; if any packed-backend kernel slowed down by more than 1.3×
+//! relative to its same-run non-packed twin (`dense`, or `reference` for
+//! `noise_signs` and `cleanup_indexed`), the binary prints the offending kernels and
+//! exits non-zero, failing the CI bench-smoke step. Set `BENCH_GUARD=off` to record
+//! a new baseline without gating (e.g. after an intentional trade-off or a hardware
+//! change).
 //!
 //! The detected Hamming-kernel SIMD tier (generic / popcnt / avx2 / avx512) is
 //! printed first so CI logs record which dispatch path produced the numbers; with
@@ -126,13 +128,12 @@ fn main() -> ExitCode {
             .find(|r| r.backend == backend && r.kernel == kernel && r.dim == 1024 && r.batch == 256)
             .map(|r| r.ns_per_op)
     };
-    if let (Some(parallel), Some(packed)) = (cell("parallel", "cleanup"), cell("packed", "cleanup"))
-    {
+    if let (Some(dense), Some(packed)) = (cell("dense", "cleanup"), cell("packed", "cleanup")) {
         println!(
-            "cleanup d=1024 batch=256: parallel {:.3} ms, packed {:.3} ms ({:.1}x)",
-            parallel / 1e6,
+            "cleanup d=1024 batch=256: dense {:.3} ms, packed {:.3} ms ({:.1}x over dense)",
+            dense / 1e6,
             packed / 1e6,
-            parallel / packed.max(1.0)
+            dense / packed.max(1.0)
         );
     }
     if let (Some(per_call), Some(prepacked)) = (

@@ -84,7 +84,8 @@ impl fmt::Display for ExperimentTable {
 /// batch)` cell with its wall-clock cost per batched kernel invocation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Backend name (`reference`, `parallel`, `packed`).
+    /// Backend name (`dense`, `packed`), or `reference` for the non-packed
+    /// baseline twin of the `noise_signs` and `cleanup_indexed` cells.
     pub backend: String,
     /// Kernel name: `bind_circular` (row-wise circular-convolution binding),
     /// `cleanup` (codebook cleanup of an `f32` query batch), `cleanup_prepacked`
@@ -224,8 +225,8 @@ pub fn backend_throughput_records(
                     ns_per_op: sims_prepacked * 1e9,
                 });
                 // Fused projection → sign threshold: the packed backend runs the SoA
-                // lane-blocked kernel on its cached sign planes; the dense backends
-                // run their projection GEMM followed by sign packing, which is the
+                // lane-blocked kernel on its cached sign planes; the dense backend
+                // runs its projection GEMM followed by sign packing, which is the
                 // pre-packed pipeline's shape for the same step. The infinite noise
                 // bound keeps the dominance shortcut off, so the packed cell times
                 // the full tile for every row.
@@ -337,7 +338,7 @@ pub const SOLVER_BENCH_PROBLEMS: [usize; 2] = [8, 64];
 ///   of the best planned round, the cells `cogsys-serve`'s per-stage
 ///   `ServiceModel` fit and the adSCH stage-cost validation consume.
 pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<BenchRecord> {
-    use cogsys_workloads::{SolverScratch, StageNanos};
+    use cogsys_workloads::SolverScratch;
     use std::time::Instant;
 
     let mut records = Vec::new();
@@ -411,18 +412,11 @@ pub fn solver_throughput_records(problem_counts: &[usize], seed: u64) -> Vec<Ben
                 // Per-stage wall clock of the best timed round (by total), the
                 // cells the serving front end's per-stage service fit consumes.
                 let mut run_timed = || {
-                    let mut timings = StageNanos::default();
                     let mut r = cogsys_vsa::rng(seed ^ 0x5eed);
                     let _ = solver
-                        .solve_batch_with_plan_timed(
-                            &plan,
-                            &problems,
-                            &mut r,
-                            &mut scratch,
-                            &mut timings,
-                        )
+                        .solve_batch_with_plan(&plan, &problems, &mut r, &mut scratch)
                         .expect("well-formed problems solve");
-                    timings
+                    scratch.stage_nanos()
                 };
                 run_timed();
                 let mut best = run_timed();
@@ -571,16 +565,18 @@ pub fn parse_backend_throughput_json(text: &str) -> Vec<BenchRecord> {
 /// Two levels of noise-robustness make this safe as a hard CI gate on a shared
 /// one-core container:
 ///
-/// * each packed cell is normalised by the **same run's** reference-backend time for
-///   the same `(kernel, dim, batch)` cell, so a machine-wide slowdown (busier
-///   container, different host generation) cancels out — what is gated is the packed
-///   kernel's advantage over the reference, not absolute nanoseconds;
+/// * each packed cell is normalised by the **same run's** non-packed twin of the same
+///   `(kernel, dim, batch)` cell — the `dense` backend for the backend and solver
+///   kernels, the `reference`-labelled baseline for `noise_signs` and
+///   `cleanup_indexed` — so a machine-wide slowdown (busier container, different
+///   host generation) cancels out: what is gated is the packed kernel's advantage
+///   over its twin, not absolute nanoseconds;
 /// * cells are aggregated into one **geometric mean per kernel** before comparing, so
 ///   single-cell timing jitter (which routinely reaches ±40% per cell) averages out
 ///   across the dim × batch sweep instead of tripping the gate.
 ///
 /// Cells present in only one of the two record sets are ignored (new kernels, retired
-/// ones), as are cells whose baseline reference twin is missing.
+/// ones), as are cells whose twin is missing from either set.
 ///
 /// This is the CI bench-smoke regression guard: the `backend_throughput` binary exits
 /// non-zero when this list is non-empty.
@@ -589,10 +585,15 @@ pub fn packed_bench_regressions(
     fresh: &[BenchRecord],
     factor: f64,
 ) -> Vec<String> {
-    let reference = |records: &[BenchRecord], probe: &BenchRecord| -> Option<f64> {
+    let twin = |records: &[BenchRecord], probe: &BenchRecord| -> Option<f64> {
         records
             .iter()
-            .find(|r| r.matches("reference", &probe.kernel, probe.dim, probe.batch))
+            .find(|r| {
+                r.backend != "packed"
+                    && r.kernel == probe.kernel
+                    && r.dim == probe.dim
+                    && r.batch == probe.batch
+            })
             .map(|r| r.ns_per_op.max(1.0))
     };
     // kernel -> (sum of ln(old_norm), sum of ln(new_norm), cell count)
@@ -607,12 +608,11 @@ pub fn packed_bench_regressions(
         else {
             continue;
         };
-        let (Some(old_ref), Some(new_ref)) = (reference(baseline, old), reference(fresh, new))
-        else {
+        let (Some(old_twin), Some(new_twin)) = (twin(baseline, old), twin(fresh, new)) else {
             continue;
         };
-        let old_norm = (old.ns_per_op.max(1.0) / old_ref).ln();
-        let new_norm = (new.ns_per_op.max(1.0) / new_ref).ln();
+        let old_norm = (old.ns_per_op.max(1.0) / old_twin).ln();
+        let new_norm = (new.ns_per_op.max(1.0) / new_twin).ln();
         match per_kernel.iter_mut().find(|(k, ..)| *k == old.kernel) {
             Some((_, o, n, c)) => {
                 *o += old_norm;
@@ -629,8 +629,8 @@ pub fn packed_bench_regressions(
             let new_geo = (new_sum / count as f64).exp();
             (new_geo > old_geo * factor).then(|| {
                 format!(
-                    "packed {kernel} ({count} cells): geomean {old_geo:.4}x reference -> \
-                     {new_geo:.4}x reference ({:.2}x slower than baseline)",
+                    "packed {kernel} ({count} cells): geomean {old_geo:.4}x twin -> \
+                     {new_geo:.4}x twin ({:.2}x slower than baseline)",
                     new_geo / old_geo
                 )
             })
@@ -661,18 +661,12 @@ pub fn backend_throughput_json(seed: u64, records: &[BenchRecord]) -> String {
     out
 }
 
-/// Builds the human-readable speedup table (each backend's wall-clock advantage over
-/// the reference backend) from measured throughput records.
+/// Builds the human-readable speedup table (the packed backend's wall-clock
+/// advantage over the dense backend) from measured throughput records.
 pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
     let mut table = ExperimentTable::new(
-        "Backend throughput: wall-clock speedup over the reference backend",
-        &[
-            "parallel bind x",
-            "packed bind x",
-            "parallel cleanup x",
-            "packed cleanup x",
-            "packed prepacked x",
-        ],
+        "Backend throughput: wall-clock speedup over the dense backend",
+        &["packed bind x", "packed cleanup x", "packed prepacked x"],
     );
     let mut cells: Vec<(usize, usize)> = Vec::new();
     for cell in records.iter().map(|r| (r.dim, r.batch)) {
@@ -693,17 +687,17 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
             if denom.is_nan() {
                 return f64::NAN;
             }
-            lookup("reference", kernel, dim, batch) / denom.max(1e-3)
+            lookup("dense", kernel, dim, batch) / denom.max(1e-3)
         };
         table.push(
             format!("d={dim} batch={batch}"),
             vec![
-                speedup("parallel", "bind_circular"),
+                // Circular binding delegates to the dense fallback: ~1x, the
+                // delegation overhead.
                 speedup("packed", "bind_circular"),
-                speedup("parallel", "cleanup"),
                 speedup("packed", "cleanup"),
                 // Pre-packed BitMatrix queries on both sides: packed popcount
-                // cleanup vs the reference default (unpack + f32 cleanup) — the
+                // cleanup vs the dense default (unpack + f32 cleanup) — the
                 // end-to-end packed pipeline's advantage, query packing excluded.
                 speedup("packed", "cleanup_prepacked"),
             ],
@@ -712,14 +706,14 @@ pub fn backend_throughput_table(records: &[BenchRecord]) -> ExperimentTable {
     table
 }
 
-/// Backend throughput comparison: wall-clock speedup of the batched backends over the
-/// reference backend on the two hot kernels — circular-convolution binding and
-/// codebook cleanup — across dimensionalities and batch sizes.
+/// Backend throughput comparison: wall-clock speedup of the packed backend over the
+/// dense backend on the two hot kernels — circular-convolution binding and codebook
+/// cleanup — across dimensionalities and batch sizes.
 ///
 /// This is the software analogue of the paper's array-level batching argument: the
-/// same operations, re-shaped from one-vector-at-a-time calls into matrix batches,
-/// with the speedup coming purely from the execution engine (row parallelism and
-/// cached FFT plans for `parallel`, XOR/popcount sign planes for `packed`).
+/// same operations, with the speedup coming purely from the execution engine
+/// (XOR/popcount sign planes for `packed`; circular binding runs the dense fallback
+/// on both sides, so its column reads the delegation overhead).
 pub fn backend_throughput(dims: &[usize], batches: &[usize], seed: u64) -> ExperimentTable {
     backend_throughput_table(&backend_throughput_records(dims, batches, seed))
 }
@@ -1597,15 +1591,15 @@ mod tests {
     fn bench_json_and_speedup_table_are_consistent() {
         let records = vec![
             BenchRecord {
-                backend: "reference".into(),
+                backend: "dense".into(),
                 kernel: "cleanup".into(),
                 dim: 1024,
                 batch: 256,
                 ns_per_op: 8000.0,
             },
             BenchRecord {
-                backend: "parallel".into(),
-                kernel: "cleanup".into(),
+                backend: "packed".into(),
+                kernel: "bind_circular".into(),
                 dim: 1024,
                 batch: 256,
                 ns_per_op: 2000.0,
@@ -1620,13 +1614,14 @@ mod tests {
         ];
         let table = backend_throughput_table(&records);
         assert_eq!(
-            table.value("d=1024 batch=256", "parallel cleanup x"),
-            Some(4.0)
-        );
-        assert_eq!(
             table.value("d=1024 batch=256", "packed cleanup x"),
             Some(20.0)
         );
+        // No dense twin: the speedup stays NaN instead of masquerading as a number.
+        assert!(table
+            .value("d=1024 batch=256", "packed bind x")
+            .unwrap()
+            .is_nan());
         let json = backend_throughput_json(7, &records);
         assert!(json.contains("\"schema\": \"cogsys-backend-throughput/v1\""));
         assert!(json.contains("\"seed\": 7"));
@@ -1649,7 +1644,7 @@ mod tests {
                 ns_per_op: 123456.0,
             },
             BenchRecord {
-                backend: "parallel".into(),
+                backend: "dense".into(),
                 kernel: "bind_circular".into(),
                 dim: 256,
                 batch: 1,
@@ -1674,15 +1669,31 @@ mod tests {
         };
         let baseline = vec![
             rec("packed", "cleanup", 256, 100_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
+            rec("dense", "cleanup", 256, 1_000_000.0),
             rec("packed", "cleanup", 1024, 400_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
+            rec("dense", "cleanup", 1024, 4_000_000.0),
             rec("packed", "cleanup_prepacked", 256, 50_000.0),
-            rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-            rec("parallel", "cleanup", 256, 300_000.0), // dense backend: never gated
+            rec("dense", "cleanup_prepacked", 256, 1_000_000.0),
+            // A kernel whose non-packed twin is the `reference`-labelled baseline.
+            rec("packed", "noise_signs", 256, 20_000.0),
+            rec("reference", "noise_signs", 256, 80_000.0),
+            rec("dense", "bind_circular", 256, 300_000.0), // dense backend: never gated
         ];
+        let scaled = |records: &[BenchRecord], kernel: &str, packed: f64, twin: f64| {
+            records
+                .iter()
+                .map(|r| {
+                    let f = match (r.kernel == kernel, r.backend == "packed") {
+                        (true, true) => packed,
+                        (true, false) => twin,
+                        _ => 1.0,
+                    };
+                    rec(&r.backend, &r.kernel, r.dim, r.ns_per_op * f)
+                })
+                .collect::<Vec<_>>()
+        };
 
-        // A machine-wide 2x slowdown (packed and reference both doubled) cancels out.
+        // A machine-wide 2x slowdown (packed and twins all doubled) cancels out.
         let uniformly_slower: Vec<BenchRecord> = baseline
             .iter()
             .map(|r| rec(&r.backend, &r.kernel, r.dim, r.ns_per_op * 2.0))
@@ -1691,29 +1702,26 @@ mod tests {
 
         // Opposite single-cell jitter (one cell 1.4x up, its sibling 1.4x down)
         // cancels in the per-kernel geometric mean instead of tripping the gate.
-        let jitter = vec![
-            rec("packed", "cleanup", 256, 140_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
-            rec("packed", "cleanup", 1024, 285_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
-            rec("packed", "cleanup_prepacked", 256, 50_000.0),
-            rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-        ];
+        let mut jitter = baseline.clone();
+        jitter[0].ns_per_op = 140_000.0;
+        jitter[2].ns_per_op = 285_000.0;
         assert!(packed_bench_regressions(&baseline, &jitter, 1.3).is_empty());
 
-        // A packed-only slowdown of one kernel is flagged, and names the kernel.
-        let regressed = vec![
-            rec("packed", "cleanup", 256, 100_000.0),
-            rec("reference", "cleanup", 256, 1_000_000.0),
-            rec("packed", "cleanup", 1024, 400_000.0),
-            rec("reference", "cleanup", 1024, 4_000_000.0),
-            rec("packed", "cleanup_prepacked", 256, 200_000.0), // 4x slower
-            rec("reference", "cleanup_prepacked", 256, 1_000_000.0),
-        ];
-        let flagged = packed_bench_regressions(&baseline, &regressed, 1.3);
-        assert_eq!(flagged.len(), 1, "{flagged:?}");
-        assert!(flagged[0].contains("cleanup_prepacked"));
-        assert!(flagged[0].contains("x reference"));
+        // A packed-only 1.4x slowdown of one kernel is flagged and names the kernel,
+        // whether its twin is the dense backend or the reference-labelled baseline;
+        // doubling the packed cell and its twin together is not.
+        for kernel in ["cleanup_prepacked", "noise_signs"] {
+            let flagged =
+                packed_bench_regressions(&baseline, &scaled(&baseline, kernel, 1.4, 1.0), 1.3);
+            assert_eq!(flagged.len(), 1, "{kernel}: {flagged:?}");
+            assert!(flagged[0].contains(kernel));
+            assert!(flagged[0].contains("x twin"));
+            let both = scaled(&baseline, kernel, 2.0, 2.0);
+            assert!(
+                packed_bench_regressions(&baseline, &both, 1.3).is_empty(),
+                "{kernel}"
+            );
+        }
 
         // Missing cells (kernel added or retired) are ignored entirely.
         assert!(packed_bench_regressions(&baseline, &[], 1.3).is_empty());
@@ -1766,7 +1774,7 @@ mod tests {
         // The acceptance gate for the packed backend: factorization accuracy on the
         // Tab. VII workload must be unchanged relative to the f32 backends.
         let packed = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Packed);
-        let dense = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Parallel);
+        let dense = tab07_factorization_accuracy_with_backend(1, 11, BackendKind::Dense);
         assert_eq!(packed.rows.len(), dense.rows.len());
         for ((label, p), (_, d)) in packed.rows.iter().zip(&dense.rows) {
             assert!(

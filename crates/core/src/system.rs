@@ -358,11 +358,11 @@ mod tests {
 
     #[test]
     fn backend_selection_threads_through_to_the_solver() {
-        let config = CogSysConfig::default().with_backend(BackendKind::Reference);
-        assert_eq!(config.backend(), BackendKind::Reference);
-        assert_eq!(config.solver.backend, BackendKind::Reference);
-        assert_eq!(config.solver.factorizer.backend, BackendKind::Reference);
-        // An end-to-end run on the reference backend still works.
+        let config = CogSysConfig::default().with_backend(BackendKind::Dense);
+        assert_eq!(config.backend(), BackendKind::Dense);
+        assert_eq!(config.solver.backend, BackendKind::Dense);
+        assert_eq!(config.solver.factorizer.backend, BackendKind::Dense);
+        // An end-to-end run on the dense backend still works.
         let system = CogSysSystem::new(config);
         let outcome = system.run_reasoning(DatasetKind::Raven, 1, 9).unwrap();
         assert_eq!(outcome.report.problems, 1);

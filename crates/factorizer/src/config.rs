@@ -84,8 +84,8 @@ pub struct FactorizerConfig {
     /// bitwise identical). The default, [`BackendKind::Packed`], runs the whole
     /// resonator loop on bit-packed sign planes for bipolar Hadamard configurations
     /// (XOR unbinding, popcount similarity, fused packed projection) and falls back
-    /// to [`BackendKind::Parallel`] — row parallelism, cached FFT plans, vectorised
-    /// similarity kernels — for HRR/circular binding and non-bipolar operands.
+    /// to [`BackendKind::Dense`] — cached FFT plans, vectorised similarity kernels —
+    /// for HRR/circular binding and non-bipolar operands.
     pub backend: BackendKind,
 }
 
@@ -231,9 +231,9 @@ mod tests {
         let c = FactorizerConfig::default()
             .with_precision(Precision::Int8)
             .with_max_iterations(17)
-            .with_backend(BackendKind::Reference);
+            .with_backend(BackendKind::Dense);
         assert_eq!(c.precision, Precision::Int8);
         assert_eq!(c.max_iterations, 17);
-        assert_eq!(c.backend, BackendKind::Reference);
+        assert_eq!(c.backend, BackendKind::Dense);
     }
 }

@@ -3,7 +3,10 @@
 //! Replays a deterministic traffic trace (steady, bursty, an adversarial
 //! poison mix, or a recorded arrival log) through [`cogsys_serve::ServeLoop`]
 //! and prints per-window p50/p99 latency, throughput and shed/degraded/retried
-//! counts, then the lifetime counters.
+//! counts, then the lifetime counters. The synthetic shapes are paced to the
+//! service model (base inter-arrival gap 1.5× the per-problem cost of a full
+//! batch), so how hard they load the front end does not depend on the host that
+//! recorded `BENCH_backends.json`.
 //!
 //! ```text
 //! serve_loadgen [--shape steady|bursty|adversarial|recorded:<path>]
@@ -32,6 +35,9 @@ use cogsys_serve::{
     metrics, ChaosConfig, ChaosEngine, ServeConfig, ServeLoop, SolverEngine, TraceConfig,
 };
 use std::process::ExitCode;
+
+/// Largest batch the serving loop forms.
+const MAX_BATCH: usize = 8;
 
 struct Options {
     shape: String,
@@ -139,6 +145,31 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 }
 
 fn run(options: &Options) -> Result<bool, String> {
+    // Virtual service times come from the committed kernel sweep when present, so
+    // latency distributions track measured solver costs; otherwise the constant
+    // placeholder model.
+    let measured_service = std::fs::read_to_string("BENCH_backends.json")
+        .ok()
+        .and_then(|text| cogsys_serve::ServiceModel::from_bench_json(&text));
+    let (source, service) = match measured_service {
+        Some(model) => ("measured (BENCH_backends.json)", model),
+        None => (
+            "default placeholder (no readable BENCH_backends.json)",
+            cogsys_serve::ServiceModel::default(),
+        ),
+    };
+    println!("# service model: {source}");
+    for (name, fit) in [
+        ("encode", service.encode),
+        ("decode", service.decode),
+        ("score", service.score),
+    ] {
+        println!(
+            "#   stage {name}: {} us/batch + {} us/problem",
+            fit.micros_per_batch, fit.micros_per_problem
+        );
+    }
+
     let (trace, request_count) = if let Some(path) = options.shape.strip_prefix("recorded:") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("recorded trace `{path}` unreadable: {e}"))?;
@@ -159,41 +190,13 @@ fn run(options: &Options) -> Result<bool, String> {
             _ => TraceConfig::adversarial(options.requests),
         };
         trace_config.seed = options.seed;
+        // Pace the synthetic shapes to the service model: the base gap is 1.5x
+        // the per-problem cost of a full batch (the 3 ms default for the
+        // placeholder model), so bursts overload the front end by the same
+        // factor whatever the measured service times are.
+        let full = MAX_BATCH as u64;
+        trace_config.interarrival_micros = service.invocation_micros(full, 1) / full * 3 / 2;
         (trace_config.generate(), options.requests)
-    };
-
-    // Virtual service times come from the committed kernel sweep when present, so
-    // latency distributions track measured solver costs; otherwise the constant
-    // placeholder model.
-    let measured_service = std::fs::read_to_string("BENCH_backends.json")
-        .ok()
-        .and_then(|text| cogsys_serve::ServiceModel::from_bench_json(&text));
-    let service = match measured_service {
-        Some(model) => {
-            println!(
-                "# service model: measured (BENCH_backends.json): \
-                 {} us/batch + {} us/problem",
-                model.micros_per_batch, model.micros_per_problem
-            );
-            if let Some(stages) = &model.stages {
-                for (name, fit) in ["encode", "decode", "score"].iter().zip(stages) {
-                    println!(
-                        "#   stage {name}: {} us/batch + {} us/problem",
-                        fit.micros_per_batch, fit.micros_per_problem
-                    );
-                }
-            }
-            model
-        }
-        None => {
-            let model = cogsys_serve::ServiceModel::default();
-            println!(
-                "# service model: default placeholder (no readable BENCH_backends.json): \
-                 {} us/batch + {} us/problem",
-                model.micros_per_batch, model.micros_per_problem
-            );
-            model
-        }
     };
 
     // Bounds sized so the built-in traces actually exercise the front end: the
@@ -205,7 +208,7 @@ fn run(options: &Options) -> Result<bool, String> {
             ..Default::default()
         },
         max_queue_depth: 16,
-        max_batch: 8,
+        max_batch: MAX_BATCH,
         degrade_depth: 12,
         recover_depth: 4,
         retry_budget: 6,

@@ -66,7 +66,7 @@ use std::collections::VecDeque;
 
 /// One fitted plan stage: fixed per-invocation overhead plus marginal cost per
 /// problem, in virtual microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageFit {
     /// Fixed per-invocation overhead of this stage, virtual micros.
     pub micros_per_batch: u64,
@@ -74,55 +74,59 @@ pub struct StageFit {
     pub micros_per_problem: u64,
 }
 
-/// Virtual service-time model of one engine invocation.
+/// Virtual service-time model of one engine invocation: one [`StageFit`] per
+/// compiled plan stage.
 ///
 /// The CI machine has one core, so serving is simulated on a discrete-event
-/// clock rather than measured. Without per-stage fits, a batch of `n` problems
-/// at level `L` costs `micros_per_batch + n * micros_per_problem /
-/// L.service_divisor()` virtual microseconds (plus any chaos-injected
-/// latency). When the bench sweep provides `plan_stage_{encode,decode,score}`
-/// cells, [`ServiceModel::stages`] holds one [`StageFit`] per compiled plan
-/// stage and the degradation divisor applies only to the decode stage — the
+/// clock rather than measured. A batch of `n` problems at level `L` costs every
+/// stage's fixed overhead plus each stage's marginal cost times `n`, with
+/// `L.service_divisor()` applied only to the decode stage — the
 /// reduced-iteration rungs of the ladder shrink factorizer work, not encoding
-/// or scoring. A failed attempt costs `micros_per_batch` of overhead either
-/// way.
+/// or scoring (plus any chaos-injected latency). A failed attempt costs the
+/// summed fixed overhead. A model fitted from whole-chunk `solve_batch` cells
+/// alone, like [`ServiceModel::default`], puts its whole cost in the decode
+/// stage, which makes the cost `b + n·p / L.service_divisor()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceModel {
-    /// Fixed per-invocation overhead, virtual micros.
-    pub micros_per_batch: u64,
-    /// Marginal cost per problem at full service, virtual micros.
-    pub micros_per_problem: u64,
-    /// Per-stage fits (encode, decode, score) when the bench sweep exposed
-    /// plan-stage cells; `None` falls back to the whole-chunk model above.
-    #[serde(default)]
-    pub stages: Option<[StageFit; 3]>,
+    /// Rng buffering and scene encode.
+    pub encode: StageFit,
+    /// Resonate and polish; the only stage degradation divides.
+    pub decode: StageFit,
+    /// Rule prediction and answer selection.
+    pub score: StageFit,
 }
 
 impl Default for ServiceModel {
     fn default() -> Self {
-        Self {
+        Self::decode_only(StageFit {
             micros_per_batch: 500,
             micros_per_problem: 2_000,
-            stages: None,
-        }
+        })
     }
 }
 
 impl ServiceModel {
-    /// Fits the model from measured packed `solve_batch` cells of a
-    /// `BENCH_backends.json` sweep, so virtual latencies track real kernel costs
-    /// instead of the constant placeholder in [`ServiceModel::default`].
+    /// A model whose whole cost sits in the decode stage (encode and score free).
+    fn decode_only(decode: StageFit) -> Self {
+        Self {
+            encode: StageFit::default(),
+            decode,
+            score: StageFit::default(),
+        }
+    }
+
+    /// Fits the model from measured packed cells of a `BENCH_backends.json`
+    /// sweep, so virtual latencies track real kernel costs instead of the
+    /// constant placeholder in [`ServiceModel::default`].
     ///
-    /// The sweep times the whole batch at two (or more) problem counts; a two-point
+    /// The sweep times each cell at two (or more) problem counts; a two-point
     /// fit through the smallest and largest count splits that into marginal
-    /// per-problem cost and fixed per-invocation overhead — exactly the two
-    /// parameters of this model. Both are clamped to ≥ 1 µs (a noisy sweep can
-    /// produce a negative intercept). Returns `None` when the records contain no
-    /// usable packed `solve_batch` cell.
-    /// Preferring the per-stage cells (`plan_stage_encode` / `plan_stage_decode`
-    /// / `plan_stage_score`) when the sweep recorded all three: the model then
-    /// carries one [`StageFit`] per compiled plan stage and the whole-chunk
-    /// totals become the stage sums, so legacy consumers keep working.
+    /// per-problem cost and fixed per-invocation overhead. Both are clamped to
+    /// ≥ 1 µs (a noisy sweep can produce a negative intercept). The per-stage
+    /// cells (`plan_stage_encode` / `plan_stage_decode` / `plan_stage_score`)
+    /// are preferred when the sweep recorded all three; otherwise the whole-chunk
+    /// packed `solve_batch` fit becomes the decode stage. Returns `None` when
+    /// neither is usable.
     pub fn from_bench_records(records: &[cogsys::experiments::BenchRecord]) -> Option<Self> {
         let stage_fits = [
             two_point_fit(records, "plan_stage_encode"),
@@ -130,19 +134,13 @@ impl ServiceModel {
             two_point_fit(records, "plan_stage_score"),
         ];
         if let [Some(encode), Some(decode), Some(score)] = stage_fits {
-            let stages = [encode, decode, score];
             return Some(Self {
-                micros_per_batch: stages.iter().map(|s| s.micros_per_batch).sum(),
-                micros_per_problem: stages.iter().map(|s| s.micros_per_problem).sum(),
-                stages: Some(stages),
+                encode,
+                decode,
+                score,
             });
         }
-        let whole = two_point_fit(records, "solve_batch")?;
-        Some(Self {
-            micros_per_batch: whole.micros_per_batch,
-            micros_per_problem: whole.micros_per_problem,
-            stages: None,
-        })
+        two_point_fit(records, "solve_batch").map(Self::decode_only)
     }
 
     /// [`ServiceModel::from_bench_records`] over a raw `BENCH_backends.json`
@@ -152,32 +150,21 @@ impl ServiceModel {
     }
 
     /// Virtual cost of one successful engine invocation over `problems`
-    /// problems at a degradation rung with the given service divisor.
-    ///
-    /// With per-stage fits, the divisor — which models the reduced-iteration
-    /// rungs of the ladder — applies only to the decode (resonate + polish)
-    /// stage; encode and score work is unchanged by degradation. Without
-    /// stage fits the legacy whole-chunk formula applies the divisor to the
-    /// entire marginal term.
+    /// problems at a degradation rung with the given service divisor, which
+    /// models the reduced-iteration rungs of the ladder and so applies only to
+    /// the decode (resonate + polish) stage.
     pub fn invocation_micros(&self, problems: u64, service_divisor: u64) -> u64 {
         let divisor = service_divisor.max(1);
-        match &self.stages {
-            Some([encode, decode, score]) => {
-                encode.micros_per_batch
-                    + decode.micros_per_batch
-                    + score.micros_per_batch
-                    + problems * encode.micros_per_problem
-                    + problems * decode.micros_per_problem / divisor
-                    + problems * score.micros_per_problem
-            }
-            None => self.micros_per_batch + problems * self.micros_per_problem / divisor,
-        }
+        self.overhead_micros()
+            + problems * self.encode.micros_per_problem
+            + problems * self.decode.micros_per_problem / divisor
+            + problems * self.score.micros_per_problem
     }
 
     /// Virtual overhead burned by a failed attempt (no per-problem work
     /// completes, but the invocation cost is paid).
     pub fn overhead_micros(&self) -> u64 {
-        self.micros_per_batch
+        self.encode.micros_per_batch + self.decode.micros_per_batch + self.score.micros_per_batch
     }
 }
 
@@ -826,14 +813,14 @@ mod tests {
             cell("packed", "solve_sequential", 8, 9e9),
         ];
         let model = ServiceModel::from_bench_records(&records).unwrap();
-        assert_eq!(model.micros_per_batch, 1_000);
-        assert_eq!(model.micros_per_problem, 2_000);
+        assert_eq!(model.decode.micros_per_batch, 1_000);
+        assert_eq!(model.decode.micros_per_problem, 2_000);
 
         // One usable cell: everything becomes marginal cost, overhead floors at 1.
         let single =
             ServiceModel::from_bench_records(&[cell("packed", "solve_batch", 8, 16e6)]).unwrap();
-        assert_eq!(single.micros_per_batch, 1);
-        assert_eq!(single.micros_per_problem, 2_000);
+        assert_eq!(single.decode.micros_per_batch, 1);
+        assert_eq!(single.decode.micros_per_problem, 2_000);
 
         // No usable cells at all.
         assert!(ServiceModel::from_bench_records(&[]).is_none());
@@ -849,10 +836,40 @@ mod tests {
             cell("packed", "solve_batch", 64, 127e6),
         ])
         .unwrap();
-        assert_eq!(noisy.micros_per_problem, 2_000);
-        assert_eq!(noisy.micros_per_batch, 1);
-        // Legacy fit carries no stage composition.
-        assert!(noisy.stages.is_none());
+        assert_eq!(noisy.decode.micros_per_problem, 2_000);
+        assert_eq!(noisy.decode.micros_per_batch, 1);
+        // A whole-chunk fit carries its cost in the decode stage alone.
+        assert_eq!(noisy.encode, StageFit::default());
+        assert_eq!(noisy.score, StageFit::default());
+    }
+
+    #[test]
+    fn decode_only_models_keep_the_whole_chunk_formula() {
+        use cogsys::experiments::BenchRecord;
+        let cell = |batch: usize, ns: f64| BenchRecord {
+            backend: "packed".into(),
+            kernel: "solve_batch".into(),
+            dim: 2048,
+            batch,
+            ns_per_op: ns,
+        };
+        let fitted = ServiceModel::from_bench_records(&[
+            cell(8, 3e6 + 8.0 * 7e5),
+            cell(64, 3e6 + 64.0 * 7e5),
+        ])
+        .unwrap();
+        for (model, b, p) in [(ServiceModel::default(), 500, 2_000), (fitted, 3_000, 700)] {
+            assert_eq!(model.overhead_micros(), b);
+            for n in [0u64, 1, 3, 8, 64] {
+                for divisor in [0u64, 1, 2, 4, 8, 16] {
+                    assert_eq!(
+                        model.invocation_micros(n, divisor),
+                        b + n * p / divisor.max(1),
+                        "n={n} divisor={divisor}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -879,31 +896,28 @@ mod tests {
             cell("solve_batch", 64, 9e9),
         ];
         let model = ServiceModel::from_bench_records(&records).unwrap();
-        let stages = model.stages.expect("all three stage kernels fitted");
-        assert_eq!(stages[0].micros_per_batch, 100);
-        assert_eq!(stages[0].micros_per_problem, 300);
-        assert_eq!(stages[1].micros_per_batch, 200);
-        assert_eq!(stages[1].micros_per_problem, 1_200);
-        assert_eq!(stages[2].micros_per_batch, 50);
-        assert_eq!(stages[2].micros_per_problem, 500);
-        // Whole-chunk totals are the stage sums, not the distractor fit.
-        assert_eq!(model.micros_per_batch, 350);
-        assert_eq!(model.micros_per_problem, 2_000);
+        assert_eq!(model.encode.micros_per_batch, 100);
+        assert_eq!(model.encode.micros_per_problem, 300);
+        assert_eq!(model.decode.micros_per_batch, 200);
+        assert_eq!(model.decode.micros_per_problem, 1_200);
+        assert_eq!(model.score.micros_per_batch, 50);
+        assert_eq!(model.score.micros_per_problem, 500);
 
-        // At full service the stage model matches the legacy formula on the
-        // same totals; under degradation only the decode stage shrinks.
+        // At full service the stage model matches the whole-chunk formula on the
+        // stage sums (not the distractor fit); under degradation only the decode
+        // stage shrinks.
         assert_eq!(model.invocation_micros(8, 1), 350 + 8 * 2_000);
         assert_eq!(
             model.invocation_micros(8, 4),
             350 + 8 * 300 + 8 * 1_200 / 4 + 8 * 500
         );
-        let legacy = ServiceModel {
-            stages: None,
-            ..model
-        };
-        assert_eq!(legacy.invocation_micros(8, 4), 350 + 8 * 2_000 / 4);
+        let whole_chunk = ServiceModel::decode_only(StageFit {
+            micros_per_batch: 350,
+            micros_per_problem: 2_000,
+        });
+        assert_eq!(whole_chunk.invocation_micros(8, 4), 350 + 8 * 2_000 / 4);
         assert!(
-            model.invocation_micros(8, 4) > legacy.invocation_micros(8, 4),
+            model.invocation_micros(8, 4) > whole_chunk.invocation_micros(8, 4),
             "whole-chunk divisor over-credits degradation vs stage composition"
         );
         // Failure overhead is the fixed cost either way.
@@ -918,6 +932,11 @@ mod tests {
             .cloned()
             .collect();
         let fallback = ServiceModel::from_bench_records(&partial).unwrap();
-        assert!(fallback.stages.is_none());
+        assert_eq!(fallback.encode, StageFit::default());
+        assert_eq!(fallback.score, StageFit::default());
+        assert_eq!(
+            Some(fallback.decode),
+            two_point_fit(&partial, "solve_batch")
+        );
     }
 }

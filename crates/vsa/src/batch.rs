@@ -7,32 +7,32 @@
 //! exposing the array-level operations — batched binding/unbinding, bundling,
 //! codebook-vs-queries similarity (GEMM-style) and batched cleanup.
 //!
-//! Three implementations ship:
+//! Two implementations ship:
 //!
-//! * [`ReferenceBackend`] — row-at-a-time delegation to [`crate::ops`], kept as ground
-//!   truth;
-//! * [`ParallelBackend`] — data-parallel over rows with scoped threads, cached FFT
-//!   plans (precomputed twiddle/bit-reversal tables) and reusable scratch buffers;
+//! * [`DenseBackend`] — `f32` rows on the calling thread, with cached FFT plans
+//!   (precomputed twiddle/bit-reversal tables), reusable FFT scratch and lane-split
+//!   similarity;
 //! * [`PackedBackend`] (the default) — bit-packed sign planes with XOR binding and
 //!   popcount similarity for the bipolar MAP/Hadamard algebra, falling back to
-//!   [`ParallelBackend`] elsewhere, and accepting pre-packed
+//!   [`DenseBackend`] elsewhere, and accepting pre-packed
 //!   [`crate::packed::BitMatrix`] queries through the `*_bits` surface.
 //!
-//! Backend compatibility contract: binding/unbinding (Hadamard and circular, planned
-//! FFT included — the plans replay the reference twiddle recurrence), bundling and
-//! projection are **bitwise identical** across backends; the similarity kernels
-//! (`similarity_matrix`, `cleanup_batch`) use lane-split accumulation in the parallel
-//! backend for SIMD throughput and agree with the reference within **1e-4 cosine**.
-//! Parallelism is across rows only, so results never depend on the thread count.
+//! The scalar functions in [`crate::ops`] are the oracle both backends are tested
+//! against. Compatibility contract: binding/unbinding (Hadamard and circular, planned
+//! FFT included — the plans replay the [`crate::ops`] twiddle recurrence), bundling and
+//! projection are **bitwise identical** to [`crate::ops`] per row; the similarity
+//! kernels (`similarity_matrix`, `cleanup_batch`) use lane-split accumulation for SIMD
+//! throughput and agree with [`crate::ops::matvec_similarity`] and the
+//! [`crate::ops::cosine_similarity`] argmax within **1e-4 cosine**.
 
 use crate::codebook::BindingOp;
 use crate::error::VsaError;
 use crate::fft::{self, Complex, FftPlan};
 use crate::hypervector::{Hypervector, VsaKind};
-use crate::ops;
 use crate::packed::{BitMatrix, PackedBackend};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A dense, row-major, contiguous batch of `rows` hypervectors of dimension `dim`.
 ///
@@ -327,34 +327,27 @@ impl HvMatrix {
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
 )]
 pub enum BackendKind {
-    /// Row-at-a-time ground truth ([`ReferenceBackend`]).
-    Reference,
-    /// Multi-threaded batch execution with cached FFT plans ([`ParallelBackend`]).
-    Parallel,
+    /// Dense `f32` execution with cached FFT plans ([`DenseBackend`]).
+    Dense,
     /// Bit-packed bipolar execution — XOR binding and popcount similarity for the
     /// MAP/Hadamard algebra, dense fallback otherwise ([`PackedBackend`]).
     ///
     /// The **default**: every hot pipeline in the repository runs bipolar Hadamard
     /// configurations, where the packed kernels are exact and several times faster;
     /// HRR/circular-convolution and non-bipolar workloads transparently run on the
-    /// wrapped dense [`ParallelBackend`].
+    /// wrapped [`DenseBackend`].
     #[default]
     Packed,
 }
 
 impl BackendKind {
     /// Every selectable backend.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Reference,
-        BackendKind::Parallel,
-        BackendKind::Packed,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::Dense, BackendKind::Packed];
 
     /// Instantiates the backend this kind names.
     pub fn create(self) -> Arc<dyn VsaBackend> {
         match self {
-            BackendKind::Reference => Arc::new(ReferenceBackend),
-            BackendKind::Parallel => Arc::new(ParallelBackend::new()),
+            BackendKind::Dense => Arc::new(DenseBackend::new()),
             BackendKind::Packed => Arc::new(PackedBackend::new()),
         }
     }
@@ -363,8 +356,7 @@ impl BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BackendKind::Reference => write!(f, "reference"),
-            BackendKind::Parallel => write!(f, "parallel"),
+            BackendKind::Dense => write!(f, "dense"),
             BackendKind::Packed => write!(f, "packed"),
         }
     }
@@ -400,7 +392,7 @@ pub trait VsaBackend: Send + Sync + std::fmt::Debug {
     ///
     /// Layers that cache packed operands (codebook sign planes, the factorizer's
     /// packed estimates) probe this to route around the `f32` surface; the default of
-    /// `None` keeps dense backends on the dense path.
+    /// `None` keeps the dense backend on the dense path.
     fn as_packed(&self) -> Option<&PackedBackend> {
         None
     }
@@ -565,9 +557,7 @@ pub trait VsaBackend: Send + Sync + std::fmt::Debug {
 }
 
 // ---------------------------------------------------------------------------
-// Shared row kernels. Both backends funnel through these so per-row arithmetic
-// (and therefore floating-point rounding) is identical; only the iteration
-// strategy across rows differs.
+// Row kernels
 // ---------------------------------------------------------------------------
 
 fn hadamard_row(a: &[f32], b: &[f32], out: &mut [f32]) {
@@ -598,21 +588,13 @@ fn correlate_row_naive(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-fn dot_row(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn norm_row(a: &[f32]) -> f32 {
-    a.iter().map(|v| v * v).sum::<f32>().sqrt()
-}
-
 /// Dot product with eight independent accumulators.
 ///
-/// The reference dot is a strict left-to-right f32 sum — a serial dependency chain the
-/// compiler may not reorder, so it can neither vectorise nor hide FP latency. Splitting
-/// the sum across lanes breaks the chain (SIMD + ILP) at the cost of a different — not
-/// worse — rounding order; the backend contract only promises 1e-4 cosine agreement
-/// for the similarity kernels.
+/// The [`crate::ops`] dot is a strict left-to-right f32 sum — a serial dependency
+/// chain the compiler may not reorder, so it can neither vectorise nor hide FP
+/// latency. Splitting the sum across lanes breaks the chain (SIMD + ILP) at the cost
+/// of a different — not worse — rounding order; the backend contract only promises
+/// 1e-4 cosine agreement for the similarity kernels.
 fn dot_row_fast(a: &[f32], b: &[f32]) -> f32 {
     const LANES: usize = 8;
     let mut acc = [0.0f32; LANES];
@@ -664,23 +646,6 @@ fn project_row(codebook: &HvMatrix, weights: &[f32], out: &mut [f32]) {
     }
 }
 
-fn cleanup_row(codebook: &HvMatrix, codebook_norms: &[f32], query: &[f32]) -> (usize, f32) {
-    let q_norm = norm_row(query);
-    let mut best = (0usize, f32::NEG_INFINITY);
-    for (m, row) in codebook.row_iter().enumerate() {
-        let denom = codebook_norms[m] * q_norm;
-        let sim = if denom == 0.0 {
-            0.0
-        } else {
-            dot_row(row, query) / denom
-        };
-        if sim > best.1 {
-            best = (m, sim);
-        }
-    }
-    best
-}
-
 fn check_gemm_shapes(codebook: &HvMatrix, queries: &HvMatrix) -> Result<(), VsaError> {
     if codebook.dim() != queries.dim() {
         return Err(VsaError::DimensionMismatch {
@@ -692,192 +657,29 @@ fn check_gemm_shapes(codebook: &HvMatrix, queries: &HvMatrix) -> Result<(), VsaE
 }
 
 // ---------------------------------------------------------------------------
-// Reference backend
+// Dense backend
 // ---------------------------------------------------------------------------
 
-/// Ground-truth backend: one row at a time, straight through [`crate::ops`].
+/// The dense `f32` batch backend, one row at a time on the calling thread.
 ///
-/// Kept deliberately boring — every other backend is validated against it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReferenceBackend;
-
-impl VsaBackend for ReferenceBackend {
-    fn name(&self) -> &'static str {
-        "reference"
-    }
-
-    fn bind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        check_same_shape(a, b)?;
-        out.ensure_shape(a.rows(), a.dim());
-        for i in 0..a.rows() {
-            let (ra, rb) = (a.row(i), b.row(i));
-            match op {
-                BindingOp::Hadamard => hadamard_row(ra, rb, out.row_mut(i)),
-                BindingOp::CircularConvolution => {
-                    let bound = ops::try_circular_convolve(
-                        &Hypervector::from_values(ra.to_vec()),
-                        &Hypervector::from_values(rb.to_vec()),
-                    )?;
-                    out.row_mut(i).copy_from_slice(bound.values());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn unbind_batch_into(
-        &self,
-        a: &HvMatrix,
-        b: &HvMatrix,
-        op: BindingOp,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        check_same_shape(a, b)?;
-        out.ensure_shape(a.rows(), a.dim());
-        for i in 0..a.rows() {
-            let (ra, rb) = (a.row(i), b.row(i));
-            match op {
-                BindingOp::Hadamard => hadamard_row(ra, rb, out.row_mut(i)),
-                BindingOp::CircularConvolution => {
-                    let unbound = ops::try_circular_correlate(
-                        &Hypervector::from_values(ra.to_vec()),
-                        &Hypervector::from_values(rb.to_vec()),
-                    )?;
-                    out.row_mut(i).copy_from_slice(unbound.values());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn similarity_matrix_into(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        check_gemm_shapes(codebook, queries)?;
-        out.ensure_shape(queries.rows(), codebook.rows());
-        for q in 0..queries.rows() {
-            let query = queries.row(q);
-            for (m, row) in codebook.row_iter().enumerate() {
-                out.row_mut(q)[m] = dot_row(row, query);
-            }
-        }
-        Ok(())
-    }
-
-    fn project_batch_into(
-        &self,
-        codebook: &HvMatrix,
-        weights: &HvMatrix,
-        out: &mut HvMatrix,
-    ) -> Result<(), VsaError> {
-        if codebook.rows() == 0 {
-            return Err(VsaError::Empty { what: "codebook" });
-        }
-        if weights.dim() != codebook.rows() {
-            return Err(VsaError::DimensionMismatch {
-                left: weights.dim(),
-                right: codebook.rows(),
-            });
-        }
-        out.ensure_shape(weights.rows(), codebook.dim());
-        for q in 0..weights.rows() {
-            project_row(codebook, weights.row(q), out.row_mut(q));
-        }
-        Ok(())
-    }
-
-    fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        if items.rows() == 0 {
-            return Err(VsaError::Empty {
-                what: "bundle input",
-            });
-        }
-        let mut acc = items.row(0).to_vec();
-        for i in 1..items.rows() {
-            for (slot, v) in acc.iter_mut().zip(items.row(i)) {
-                *slot += v;
-            }
-        }
-        Ok(Hypervector::with_kind(acc, VsaKind::Dense))
-    }
-
-    fn cleanup_batch(
-        &self,
-        codebook: &HvMatrix,
-        queries: &HvMatrix,
-    ) -> Result<Vec<(usize, f32)>, VsaError> {
-        if codebook.rows() == 0 {
-            return Err(VsaError::Empty { what: "codebook" });
-        }
-        check_gemm_shapes(codebook, queries)?;
-        let norms: Vec<f32> = codebook.row_iter().map(norm_row).collect();
-        Ok((0..queries.rows())
-            .map(|q| cleanup_row(codebook, &norms, queries.row(q)))
-            .collect())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel backend
-// ---------------------------------------------------------------------------
-
-/// Multi-threaded batch backend.
-///
-/// * Rows are distributed over scoped worker threads (`std::thread::scope`); results
-///   never depend on the thread count because rows are independent.
 /// * Power-of-two circular convolution/correlation uses cached [`FftPlan`]s —
 ///   twiddle factors and the bit-reversal permutation are computed once per dimension
-///   and shared across calls and threads — and is bitwise identical to the reference.
-/// * The similarity kernels use eight-lane accumulation ([`dot_row_fast`]) so they
-///   vectorise; they agree with the reference within the 1e-4 cosine contract.
-/// * Workers reuse per-thread scratch buffers, so the factorizer's inner loop performs
+///   and shared across calls — and is bitwise identical to [`crate::ops`]. The FFT
+///   scratch buffers live in a thread-local, so the factorizer's inner loop performs
 ///   no per-iteration allocation beyond first use.
-#[derive(Debug)]
-pub struct ParallelBackend {
-    max_threads: usize,
+/// * The similarity kernels use eight-lane accumulation ([`dot_row_fast`]) so they
+///   vectorise; they agree with [`crate::ops`] within the 1e-4 cosine contract.
+/// * Hadamard binding, bundling and projection keep the [`crate::ops`] summation
+///   order and are bitwise identical to it.
+#[derive(Debug, Default)]
+pub struct DenseBackend {
     plans: Mutex<HashMap<usize, Arc<FftPlan>>>,
 }
 
-impl Default for ParallelBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Minimum per-thread work (in f32 multiply–accumulates) before another worker thread
-/// pays for itself; below this everything runs on the calling thread.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
-
-impl ParallelBackend {
-    /// Creates a backend using every available core.
+impl DenseBackend {
+    /// Creates a dense backend with an empty FFT plan cache.
     pub fn new() -> Self {
-        Self::with_threads(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// Creates a backend capped at `max_threads` worker threads (minimum 1).
-    pub fn with_threads(max_threads: usize) -> Self {
-        Self {
-            max_threads: max_threads.max(1),
-            plans: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The configured thread cap.
-    pub fn max_threads(&self) -> usize {
-        self.max_threads
+        Self::default()
     }
 
     /// Fetches (or builds and caches) the FFT plan for power-of-two `dim`.
@@ -885,49 +687,14 @@ impl ParallelBackend {
         if !fft::is_power_of_two(dim) {
             return None;
         }
-        let mut plans = self.plans.lock().expect("fft plan cache poisoned");
+        // The cache only holds immutable plans, so a panic while the lock was held
+        // cannot have left it inconsistent: recover the guard instead of panicking.
+        let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         Some(Arc::clone(
             plans
                 .entry(dim)
                 .or_insert_with(|| Arc::new(FftPlan::new(dim))),
         ))
-    }
-
-    /// Number of worker threads for a job of `rows` rows costing ~`work_per_row` MACs.
-    fn threads_for(&self, rows: usize, work_per_row: usize) -> usize {
-        let total = rows.saturating_mul(work_per_row.max(1));
-        let by_work = (total / PARALLEL_WORK_THRESHOLD).max(1);
-        self.max_threads.min(by_work).min(rows.max(1))
-    }
-
-    /// Runs `body(row_index, row_out)` for every row of `out`, split across threads.
-    /// `body` must be deterministic per row — rows never share output.
-    fn for_each_row<F>(&self, out: &mut HvMatrix, work_per_row: usize, body: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        let rows = out.rows();
-        let dim = out.dim().max(1);
-        let threads = self.threads_for(rows, work_per_row);
-        if threads <= 1 || rows <= 1 {
-            for i in 0..rows {
-                body(i, out.row_mut(i));
-            }
-            return;
-        }
-        let chunk_rows = rows.div_ceil(threads);
-        let data = out.as_mut_slice();
-        std::thread::scope(|scope| {
-            for (chunk_index, chunk) in data.chunks_mut(chunk_rows * dim).enumerate() {
-                let body = &body;
-                scope.spawn(move || {
-                    let base = chunk_index * chunk_rows;
-                    for (offset, row) in chunk.chunks_mut(dim).enumerate() {
-                        body(base + offset, row);
-                    }
-                });
-            }
-        });
     }
 
     fn bind_or_unbind_into(
@@ -939,88 +706,42 @@ impl ParallelBackend {
         out: &mut HvMatrix,
     ) -> Result<(), VsaError> {
         check_same_shape(a, b)?;
-        let dim = a.dim();
-        out.ensure_shape(a.rows(), dim);
+        out.ensure_shape(a.rows(), a.dim());
+        let rows = 0..a.rows();
         match op {
             BindingOp::Hadamard => {
-                self.for_each_row(out, dim, |i, row| hadamard_row(a.row(i), b.row(i), row));
-            }
-            BindingOp::CircularConvolution => match self.plan(dim) {
-                Some(plan) => {
-                    // O(d log d) planned path; per-thread scratch reused across rows.
-                    let work = dim * usize::max(dim.ilog2() as usize, 1);
-                    let rows = out.rows();
-                    let threads = self.threads_for(rows, work);
-                    let run_rows =
-                        |chunk: &mut [f32],
-                         base: usize,
-                         scratch_a: &mut Vec<Complex>,
-                         scratch_b: &mut Vec<Complex>| {
-                            for (offset, row) in chunk.chunks_mut(dim.max(1)).enumerate() {
-                                let i = base + offset;
-                                if correlate {
-                                    plan.circular_correlate_into(
-                                        a.row(i),
-                                        b.row(i),
-                                        row,
-                                        scratch_a,
-                                        scratch_b,
-                                    );
-                                } else {
-                                    plan.circular_convolve_into(
-                                        a.row(i),
-                                        b.row(i),
-                                        row,
-                                        scratch_a,
-                                        scratch_b,
-                                    );
-                                }
-                            }
-                        };
-                    if threads <= 1 || rows <= 1 {
-                        // Serial path (batch of one, or work below the thread
-                        // threshold): no thread spawn, and the scratch buffers live in
-                        // a thread-local so repeated calls — e.g. the resonator inner
-                        // loop — allocate nothing in steady state.
-                        thread_local! {
-                            static FFT_SCRATCH: std::cell::RefCell<(Vec<Complex>, Vec<Complex>)> =
-                                const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-                        }
-                        FFT_SCRATCH.with(|cell| {
-                            let (scratch_a, scratch_b) = &mut *cell.borrow_mut();
-                            run_rows(out.as_mut_slice(), 0, scratch_a, scratch_b);
-                        });
-                    } else {
-                        let chunk_rows = rows.div_ceil(threads).max(1);
-                        let data = out.as_mut_slice();
-                        std::thread::scope(|scope| {
-                            for (chunk_index, chunk) in
-                                data.chunks_mut(chunk_rows * dim.max(1)).enumerate()
-                            {
-                                let run_rows = &run_rows;
-                                scope.spawn(move || {
-                                    // Worker-local scratch, amortised over the chunk.
-                                    let mut scratch_a: Vec<Complex> = Vec::new();
-                                    let mut scratch_b: Vec<Complex> = Vec::new();
-                                    run_rows(
-                                        chunk,
-                                        chunk_index * chunk_rows,
-                                        &mut scratch_a,
-                                        &mut scratch_b,
-                                    );
-                                });
-                            }
-                        });
-                    }
+                for i in rows {
+                    hadamard_row(a.row(i), b.row(i), out.row_mut(i));
                 }
-                None => {
-                    self.for_each_row(out, dim * dim, |i, row| {
-                        if correlate {
-                            correlate_row_naive(a.row(i), b.row(i), row);
-                        } else {
-                            convolve_row_naive(a.row(i), b.row(i), row);
+            }
+            BindingOp::CircularConvolution => match self.plan(a.dim()) {
+                Some(plan) => {
+                    // O(d log d) planned path; the scratch buffers are reused across
+                    // rows and calls.
+                    thread_local! {
+                        static FFT_SCRATCH: RefCell<(Vec<Complex>, Vec<Complex>)> =
+                            const { RefCell::new((Vec::new(), Vec::new())) };
+                    }
+                    FFT_SCRATCH.with(|cell| {
+                        let (scratch_a, scratch_b) = &mut *cell.borrow_mut();
+                        for i in rows {
+                            let (ra, rb, row) = (a.row(i), b.row(i), out.row_mut(i));
+                            if correlate {
+                                plan.circular_correlate_into(ra, rb, row, scratch_a, scratch_b);
+                            } else {
+                                plan.circular_convolve_into(ra, rb, row, scratch_a, scratch_b);
+                            }
                         }
                     });
+                }
+                None => {
+                    for i in rows {
+                        if correlate {
+                            correlate_row_naive(a.row(i), b.row(i), out.row_mut(i));
+                        } else {
+                            convolve_row_naive(a.row(i), b.row(i), out.row_mut(i));
+                        }
+                    }
                 }
             },
         }
@@ -1028,9 +749,9 @@ impl ParallelBackend {
     }
 }
 
-impl VsaBackend for ParallelBackend {
+impl VsaBackend for DenseBackend {
     fn name(&self) -> &'static str {
-        "parallel"
+        "dense"
     }
 
     fn bind_batch_into(
@@ -1061,12 +782,12 @@ impl VsaBackend for ParallelBackend {
     ) -> Result<(), VsaError> {
         check_gemm_shapes(codebook, queries)?;
         out.ensure_shape(queries.rows(), codebook.rows());
-        self.for_each_row(out, codebook.rows() * codebook.dim(), |q, sims| {
+        for q in 0..queries.rows() {
             let query = queries.row(q);
-            for (m, row) in codebook.row_iter().enumerate() {
-                sims[m] = dot_row_fast(row, query);
+            for (slot, row) in out.row_mut(q).iter_mut().zip(codebook.row_iter()) {
+                *slot = dot_row_fast(row, query);
             }
-        });
+        }
         Ok(())
     }
 
@@ -1086,16 +807,26 @@ impl VsaBackend for ParallelBackend {
             });
         }
         out.ensure_shape(weights.rows(), codebook.dim());
-        self.for_each_row(out, codebook.rows() * codebook.dim(), |q, row| {
-            project_row(codebook, weights.row(q), row);
-        });
+        for q in 0..weights.rows() {
+            project_row(codebook, weights.row(q), out.row_mut(q));
+        }
         Ok(())
     }
 
     fn bundle(&self, items: &HvMatrix) -> Result<Hypervector, VsaError> {
-        // Sequential column accumulation in row order: bundling is memory-bound and
-        // must keep the reference summation order for bitwise compatibility.
-        ReferenceBackend.bundle(items)
+        // Sequential column accumulation in row order, the `ops::bundle` order.
+        if items.rows() == 0 {
+            return Err(VsaError::Empty {
+                what: "bundle input",
+            });
+        }
+        let mut acc = items.row(0).to_vec();
+        for row in items.row_iter().skip(1) {
+            for (slot, v) in acc.iter_mut().zip(row) {
+                *slot += v;
+            }
+        }
+        Ok(Hypervector::with_kind(acc, VsaKind::Dense))
     }
 
     fn cleanup_batch(
@@ -1108,34 +839,16 @@ impl VsaBackend for ParallelBackend {
         }
         check_gemm_shapes(codebook, queries)?;
         let norms: Vec<f32> = codebook.row_iter().map(norm_row_fast).collect();
-        let rows = queries.rows();
-        let threads = self.threads_for(rows, codebook.rows() * codebook.dim());
-        if threads <= 1 || rows <= 1 {
-            return Ok((0..rows)
-                .map(|q| cleanup_row_fast(codebook, &norms, queries.row(q)))
-                .collect());
-        }
-        let chunk_rows = rows.div_ceil(threads);
-        let mut results = vec![(0usize, 0.0f32); rows];
-        std::thread::scope(|scope| {
-            for (chunk_index, chunk) in results.chunks_mut(chunk_rows).enumerate() {
-                let norms = &norms;
-                scope.spawn(move || {
-                    let base = chunk_index * chunk_rows;
-                    for (offset, slot) in chunk.iter_mut().enumerate() {
-                        *slot = cleanup_row_fast(codebook, norms, queries.row(base + offset));
-                    }
-                });
-            }
-        });
-        Ok(results)
+        Ok((0..queries.rows())
+            .map(|q| cleanup_row_fast(codebook, &norms, queries.row(q)))
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng;
+    use crate::{ops, rng};
 
     fn random_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         let mut r = rng(seed);
@@ -1184,45 +897,97 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_every_op() {
-        let reference = ReferenceBackend;
-        let parallel = ParallelBackend::with_threads(4);
-        for dim in [8usize, 12, 64, 100] {
-            let a = random_matrix(5, dim, 10 + dim as u64);
-            let b = random_matrix(5, dim, 20 + dim as u64);
-            // Binding, unbinding and bundling are bitwise identical across backends.
-            for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-                let r = reference.bind_batch(&a, &b, op).unwrap();
-                let p = parallel.bind_batch(&a, &b, op).unwrap();
-                assert_eq!(r, p, "bind dim {dim} {op:?}");
-                let r = reference.unbind_batch(&a, &b, op).unwrap();
-                let p = parallel.unbind_batch(&a, &b, op).unwrap();
-                assert_eq!(r, p, "unbind dim {dim} {op:?}");
+    fn every_backend_matches_the_ops_oracle() {
+        for backend in BackendKind::ALL.map(BackendKind::create) {
+            let name = backend.name();
+            for dim in [8usize, 12, 64, 100] {
+                let a = random_matrix(5, dim, 10 + dim as u64);
+                let b = random_matrix(5, dim, 20 + dim as u64);
+                let (ha, hb) = (
+                    a.to_hypervectors(VsaKind::Real),
+                    b.to_hypervectors(VsaKind::Real),
+                );
+                // Binding and unbinding are bitwise identical to the scalar ops per row.
+                let bind = backend.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
+                let unbind = backend.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
+                let conv = backend
+                    .bind_batch(&a, &b, BindingOp::CircularConvolution)
+                    .unwrap();
+                let corr = backend
+                    .unbind_batch(&a, &b, BindingOp::CircularConvolution)
+                    .unwrap();
+                for i in 0..5 {
+                    let had = ops::hadamard_bind(&ha[i], &hb[i]).unwrap();
+                    assert_eq!(bind.row(i), had.values(), "{name} bind dim {dim}");
+                    assert_eq!(unbind.row(i), had.values(), "{name} unbind dim {dim}");
+                    let c = ops::try_circular_convolve(&ha[i], &hb[i]).unwrap();
+                    assert_eq!(conv.row(i), c.values(), "{name} convolve dim {dim}");
+                    let c = ops::try_circular_correlate(&ha[i], &hb[i]).unwrap();
+                    assert_eq!(corr.row(i), c.values(), "{name} correlate dim {dim}");
+                }
+                assert_eq!(
+                    backend.bundle(&a).unwrap().values(),
+                    ops::bundle(&ha).unwrap().values(),
+                    "{name} bundle dim {dim}"
+                );
+                // The similarity kernels use lane-split accumulation; they agree with
+                // the strict scalar sums within the documented tolerance.
+                let codebook = random_matrix(9, dim, 30 + dim as u64);
+                let code = codebook.to_hypervectors(VsaKind::Real);
+                let sims = backend.similarity_matrix(&codebook, &a).unwrap();
+                let cleanup = backend.cleanup_batch(&codebook, &a).unwrap();
+                let projected = backend.project_batch(&codebook, &sims).unwrap();
+                for (q, query) in ha.iter().enumerate() {
+                    let scalar = ops::matvec_similarity(&code, query).unwrap();
+                    for (x, y) in sims.row(q).iter().zip(&scalar) {
+                        assert!(
+                            (x - y).abs() < 1e-4,
+                            "{name} similarity dim {dim}: {x} vs {y}"
+                        );
+                    }
+                    let cosines: Vec<f32> = code
+                        .iter()
+                        .map(|row| ops::cosine_similarity(row, query))
+                        .collect();
+                    let best = ops::argmax(&cosines).unwrap();
+                    assert_eq!(cleanup[q].0, best, "{name} cleanup index dim {dim}");
+                    assert!(
+                        (cleanup[q].1 - cosines[best]).abs() < 1e-4,
+                        "{name} cleanup sim dim {dim}"
+                    );
+                    // Projection keeps the scalar summation order: bitwise identical.
+                    let expected = ops::weighted_superposition(&code, sims.row(q)).unwrap();
+                    assert_eq!(
+                        projected.row(q),
+                        expected.values(),
+                        "{name} project dim {dim}"
+                    );
+                }
             }
-            assert_eq!(
-                reference.bundle(&a).unwrap().values(),
-                parallel.bundle(&a).unwrap().values(),
-                "bundle dim {dim}"
-            );
-            // The similarity kernels use lane-split accumulation in the parallel
-            // backend; they agree within the documented tolerance.
-            let codebook = random_matrix(9, dim, 30 + dim as u64);
-            let rs = reference.similarity_matrix(&codebook, &a).unwrap();
-            let ps = parallel.similarity_matrix(&codebook, &a).unwrap();
-            for (x, y) in rs.as_slice().iter().zip(ps.as_slice()) {
-                assert!((x - y).abs() < 1e-4, "similarity dim {dim}: {x} vs {y}");
-            }
-            // Projection accumulates in reference row order — bitwise identical
-            // (use the reference similarities for both so inputs match exactly).
-            let rp = reference.project_batch(&codebook, &rs).unwrap();
-            let pp = parallel.project_batch(&codebook, &rs).unwrap();
-            assert_eq!(rp, pp, "project dim {dim}");
-            let rc = reference.cleanup_batch(&codebook, &a).unwrap();
-            let pc = parallel.cleanup_batch(&codebook, &a).unwrap();
-            for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-                assert_eq!(ri, pi, "cleanup index dim {dim}");
-                assert!((rsim - psim).abs() < 1e-4, "cleanup sim dim {dim}");
-            }
+        }
+    }
+
+    #[test]
+    fn poisoned_plan_cache_still_serves_plans() {
+        let backend = DenseBackend::new();
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = backend.plans.lock().unwrap();
+            panic!("poisoning the plan cache on purpose");
+        }));
+        assert!(poisoned.is_err());
+        assert!(backend.plans.is_poisoned());
+        let a = random_matrix(2, 64, 40);
+        let b = random_matrix(2, 64, 41);
+        let bound = backend
+            .bind_batch(&a, &b, BindingOp::CircularConvolution)
+            .unwrap();
+        for i in 0..2 {
+            let expected = ops::try_circular_convolve(
+                &Hypervector::from_values(a.row(i).to_vec()),
+                &Hypervector::from_values(b.row(i).to_vec()),
+            )
+            .unwrap();
+            assert_eq!(bound.row(i), expected.values(), "row {i}");
         }
     }
 
@@ -1292,7 +1057,7 @@ mod tests {
 
     #[test]
     fn shape_mismatches_are_rejected() {
-        let backend = ParallelBackend::new();
+        let backend = DenseBackend::new();
         let a = HvMatrix::zeros(2, 8);
         let b = HvMatrix::zeros(3, 8);
         let c = HvMatrix::zeros(2, 4);

@@ -6,7 +6,7 @@
 //! with per-attribute codebooks plus iterative factorization. This module provides both
 //! representations so the memory/latency comparison of Fig. 8 can be reproduced.
 
-use crate::batch::{HvMatrix, ReferenceBackend, VsaBackend};
+use crate::batch::{HvMatrix, VsaBackend};
 use crate::error::VsaError;
 use crate::hypervector::Hypervector;
 use crate::ops;
@@ -208,12 +208,13 @@ impl Codebook {
         self.index.take()
     }
 
-    /// Similarity of `query` against every codevector (one GEMV on the accelerator).
+    /// Similarity of `query` against every codevector (one GEMV on the accelerator),
+    /// through the scalar [`ops::matvec_similarity`].
     ///
     /// # Errors
     /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
     pub fn similarities(&self, query: &Hypervector) -> Result<Vec<f32>, VsaError> {
-        self.similarities_with(&ReferenceBackend, query)
+        ops::matvec_similarity(&self.vectors, query)
     }
 
     /// [`Codebook::similarities`] through an explicit backend.
@@ -252,12 +253,20 @@ impl Codebook {
     }
 
     /// Cleanup memory: returns the index and cosine similarity of the best-matching
-    /// codevector.
+    /// codevector — the scalar [`ops::cosine_similarity`] argmax (ties resolve to
+    /// the first).
     ///
     /// # Errors
-    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs.
+    /// Returns [`VsaError::DimensionMismatch`] if the query dimension differs and
+    /// [`VsaError::Empty`] for an empty codebook.
     pub fn cleanup(&self, query: &Hypervector) -> Result<(usize, f32), VsaError> {
-        self.cleanup_with(&ReferenceBackend, query)
+        let cosines = self
+            .vectors
+            .iter()
+            .map(|row| ops::try_cosine_similarity(row, query))
+            .collect::<Result<Vec<f32>, VsaError>>()?;
+        let best = ops::argmax(&cosines).ok_or(VsaError::Empty { what: "codebook" })?;
+        Ok((best, cosines[best]))
     }
 
     /// [`Codebook::cleanup`] through an explicit backend.

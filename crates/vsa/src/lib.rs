@@ -43,7 +43,7 @@
 //! use cogsys_vsa::{BackendKind, Codebook, HvMatrix, Hypervector, ops};
 //!
 //! let mut rng = cogsys_vsa::rng(7);
-//! let backend = BackendKind::Parallel.create();
+//! let backend = BackendKind::Dense.create();
 //! let codebook = Codebook::random("color", 16, 256, &mut rng);
 //!
 //! // A batch of noisy queries, one per row.
@@ -64,7 +64,7 @@
 //! stores sign planes instead of floats ([`BitMatrix`], 32× smaller) and executes the
 //! same operations as word-wise XOR and popcount ([`PackedBackend`],
 //! [`BackendKind::Packed`] — the **default** backend); non-bipolar inputs and
-//! circular-convolution binding fall back to the dense backends transparently, and
+//! circular-convolution binding fall back to the [`DenseBackend`] transparently, and
 //! callers that already hold sign planes pass [`BitMatrix`] queries end to end
 //! (`cleanup_batch_bits`, `similarities_batch_bits`) without re-packing per call.
 
@@ -86,7 +86,7 @@ pub mod ops;
 pub mod packed;
 pub mod quant;
 
-pub use batch::{BackendKind, HvMatrix, ParallelBackend, ReferenceBackend, VsaBackend};
+pub use batch::{BackendKind, DenseBackend, HvMatrix, VsaBackend};
 pub use codebook::{CleanupRoute, Codebook, CodebookSet, ProductCodebook};
 pub use error::VsaError;
 pub use hypervector::{Hypervector, VsaKind};

@@ -13,14 +13,14 @@
 //! word, 32× smaller than the `f32` [`HvMatrix`] it mirrors — and [`PackedBackend`]
 //! implements the [`VsaBackend`] surface on top of it. Inputs that are not exactly
 //! bipolar, and the circular-convolution (HRR) binding, transparently fall back to the
-//! dense [`ParallelBackend`], so `BackendKind::Packed` is always safe to select.
+//! [`DenseBackend`], so `BackendKind::Packed` is always safe to select.
 //!
 //! Sign convention: a set bit means **negative** (`-1.0`), mirroring the IEEE-754 sign
 //! bit; `+1.0` packs to 0. The unused tail bits of the last word in each row are kept
 //! at zero (see [`BitMatrix::tail_mask`]), which lets every kernel run whole-word
 //! XOR/popcount without per-row masking.
 
-use crate::batch::{HvMatrix, ParallelBackend, VsaBackend};
+use crate::batch::{DenseBackend, HvMatrix, VsaBackend};
 use crate::codebook::BindingOp;
 use crate::error::VsaError;
 use crate::hypervector::{Hypervector, VsaKind};
@@ -1342,27 +1342,27 @@ struct PackedScratch {
 ///   codebook rows for cache residency.
 /// * `bundle` counts votes per dimension in `i32` and emits the exact superposition.
 /// * Everything else — circular convolution (HRR), non-bipolar inputs, weighted
-///   projection — delegates to the wrapped dense [`ParallelBackend`], so this backend
+///   projection — delegates to the wrapped [`DenseBackend`], so this backend
 ///   is a drop-in [`crate::BackendKind::Packed`] choice for any pipeline.
 ///
 /// Numerics: XOR bind/unbind and the popcount dot products are **exact** (bitwise equal
-/// to the reference on bipolar inputs — `f32` sums of `±1` are themselves exact).
+/// to [`crate::ops`] on bipolar inputs — `f32` sums of `±1` are themselves exact).
 /// Cleanup cosines divide by `d` instead of the product of `f32` norms, which agrees
-/// with the reference within the documented 1e-4 cosine contract.
+/// with [`crate::ops::cosine_similarity`] within the documented 1e-4 cosine contract.
 #[derive(Debug, Default)]
 pub struct PackedBackend {
-    dense: ParallelBackend,
+    dense: DenseBackend,
     scratch: std::sync::Mutex<PackedScratch>,
 }
 
 impl PackedBackend {
-    /// Creates a packed backend with a dense [`ParallelBackend`] fallback.
+    /// Creates a packed backend with a [`DenseBackend`] fallback.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// The dense backend non-bipolar / HRR operations fall back to.
-    pub fn dense(&self) -> &ParallelBackend {
+    pub fn dense(&self) -> &DenseBackend {
         &self.dense
     }
 
@@ -1650,7 +1650,7 @@ impl PackedBackend {
     }
 
     /// Packed bundling: per-dimension `i32` vote counters over all rows. The result is
-    /// the exact element-wise sum of the `±1` rows (identical to the reference bundle).
+    /// the exact element-wise sum of the `±1` rows (identical to `ops::bundle`).
     pub fn bundle_packed(&self, items: &BitMatrix) -> Result<Hypervector, VsaError> {
         if items.rows() == 0 {
             return Err(VsaError::Empty {
@@ -1938,8 +1938,7 @@ impl VsaBackend for PackedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::ReferenceBackend;
-    use crate::rng;
+    use crate::{ops, rng};
 
     fn random_bipolar_matrix(rows: usize, dim: usize, seed: u64) -> HvMatrix {
         let mut r = rng(seed);
@@ -1980,10 +1979,15 @@ mod tests {
             let a = random_bipolar_matrix(4, dim, 1);
             let b = random_bipolar_matrix(4, dim, 2);
             let packed = PackedBackend::new();
-            let reference = ReferenceBackend;
-            let r = reference.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
             let p = packed.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-            assert_eq!(r, p, "dim {dim}");
+            let (ha, hb) = (
+                a.to_hypervectors(VsaKind::Bipolar),
+                b.to_hypervectors(VsaKind::Bipolar),
+            );
+            for i in 0..4 {
+                let expected = ops::hadamard_bind(&ha[i], &hb[i]).unwrap();
+                assert_eq!(p.row(i), expected.values(), "dim {dim} row {i}");
+            }
             // MAP binding is self-inverse: unbinding recovers the other operand.
             let back = packed.unbind_batch(&p, &b, BindingOp::Hadamard).unwrap();
             assert_eq!(back, a);
@@ -1995,24 +1999,34 @@ mod tests {
         let cb = random_bipolar_matrix(9, 100, 3);
         let q = random_bipolar_matrix(5, 100, 4);
         let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        let rs = reference.similarity_matrix(&cb, &q).unwrap();
         let ps = packed.similarity_matrix(&cb, &q).unwrap();
         // Dots of ±1 vectors are exact in f32, so the popcount mapping is bitwise equal.
-        assert_eq!(rs, ps);
+        let code = cb.to_hypervectors(VsaKind::Bipolar);
+        for (i, query) in q.to_hypervectors(VsaKind::Bipolar).iter().enumerate() {
+            let expected = ops::matvec_similarity(&code, query).unwrap();
+            assert_eq!(ps.row(i), expected.as_slice(), "query {i}");
+        }
     }
 
     #[test]
-    fn cleanup_matches_reference_within_contract() {
+    fn cleanup_matches_ops_within_contract() {
         let cb = random_bipolar_matrix(16, 1000, 5);
         let q = random_bipolar_matrix(8, 1000, 6);
         let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
         let pc = packed.cleanup_batch(&cb, &q).unwrap();
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            assert_eq!(ri, pi);
-            assert!((rsim - psim).abs() < 1e-4, "{rsim} vs {psim}");
+        let code = cb.to_hypervectors(VsaKind::Bipolar);
+        for (query, (pi, psim)) in q.to_hypervectors(VsaKind::Bipolar).iter().zip(&pc) {
+            let cosines: Vec<f32> = code
+                .iter()
+                .map(|row| ops::cosine_similarity(row, query))
+                .collect();
+            let best = ops::argmax(&cosines).unwrap();
+            assert_eq!(best, *pi);
+            assert!(
+                (cosines[best] - psim).abs() < 1e-4,
+                "{} vs {psim}",
+                cosines[best]
+            );
         }
     }
 
@@ -2020,9 +2034,10 @@ mod tests {
     fn bundle_counts_votes_exactly() {
         let items = random_bipolar_matrix(7, 200, 8);
         let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
         assert_eq!(
-            reference.bundle(&items).unwrap().values(),
+            ops::bundle(&items.to_hypervectors(VsaKind::Bipolar))
+                .unwrap()
+                .values(),
             packed.bundle(&items).unwrap().values(),
         );
     }
@@ -2036,7 +2051,7 @@ mod tests {
         let a = HvMatrix::from_rows(&hvs).unwrap();
         let b = random_bipolar_matrix(3, 64, 10);
         let packed = PackedBackend::new();
-        let dense = ParallelBackend::new();
+        let dense = DenseBackend::new();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
             assert_eq!(
                 packed.bind_batch(&a, &b, op).unwrap(),
@@ -2107,7 +2122,6 @@ mod tests {
 
     #[test]
     fn project_signs_matches_dense_projection_and_threshold() {
-        let reference = ReferenceBackend;
         let packed = PackedBackend::new();
         for dim in [64usize, 70, 128, 200, 1000] {
             let cb = random_bipolar_matrix(9, dim, 20 + dim as u64);
@@ -2121,7 +2135,12 @@ mod tests {
             )
             .unwrap();
 
-            let dense = reference.project_batch(&cb, &weights).unwrap();
+            let code = cb.to_hypervectors(VsaKind::Bipolar);
+            let mut dense = HvMatrix::default();
+            for q in 0..4 {
+                let row = ops::weighted_superposition(&code, weights.row(q)).unwrap();
+                dense.push_row(row.values()).unwrap();
+            }
             let mut out = BitMatrix::default();
             let mut acc = Vec::new();
             let mut seen: Vec<Vec<f32>> = Vec::new();
@@ -2179,15 +2198,15 @@ mod tests {
         let q = random_bipolar_matrix(5, 300, 51);
         let q_bits = BitMatrix::from_matrix(&q).unwrap();
         let packed = PackedBackend::new();
-        let reference = ReferenceBackend;
+        let dense = DenseBackend::new();
         // Packed-query cleanup equals dense-query cleanup on every backend surface.
         assert_eq!(
             packed.cleanup_batch_bits(&cb, &q_bits).unwrap(),
             packed.cleanup_batch(&cb, &q).unwrap()
         );
         assert_eq!(
-            reference.cleanup_batch_bits(&cb, &q_bits).unwrap(),
-            reference.cleanup_batch(&cb, &q).unwrap()
+            dense.cleanup_batch_bits(&cb, &q_bits).unwrap(),
+            dense.cleanup_batch(&cb, &q).unwrap()
         );
         let mut from_bits = HvMatrix::default();
         packed

@@ -1,13 +1,15 @@
-//! Cross-checks of the batched execution backends against each other and against the
-//! naive time-domain kernels, plus the batch-vs-single factorization regression.
+//! Cross-checks of the batched execution backends against the scalar `ops::` oracle
+//! and the naive time-domain kernels, plus the batch-vs-single factorization
+//! regression.
 //!
 //! These are the repository-level guarantees the `VsaBackend` seam rests on:
 //!
-//! 1. `ReferenceBackend` and `ParallelBackend` agree (bitwise for Hadamard ops and the
-//!    planned FFT, within float tolerance when compared against the `O(d²)` kernel);
-//! 2. `PackedBackend` reproduces the reference exactly where the bit-packed algebra
-//!    applies (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling)
-//!    and within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
+//! 1. every backend reproduces `ops::` (bitwise for Hadamard ops, the planned FFT,
+//!    bundling and projection; within float tolerance when compared against the
+//!    `O(d²)` kernel, and within the 1e-4 cosine contract for similarity and cleanup);
+//! 2. `PackedBackend` reproduces `ops::` exactly where the bit-packed algebra applies
+//!    (bipolar Hadamard bind/unbind, integer dot products, vote-count bundling) and
+//!    within the 1e-4 cosine contract for the Hamming→cosine cleanup mapping, on
 //!    power-of-two and non-power-of-two dimensions (tail-word padding included);
 //! 3. batching is a pure performance transform — `factorize_batch` returns exactly the
 //!    per-query `factorize` results.
@@ -28,22 +30,20 @@ fn random_batch(rows: usize, dim: usize, seed: u64) -> (Vec<Hypervector>, HvMatr
     (hvs, m)
 }
 
-/// Cosine similarity between two raw rows (for tolerance comparisons).
-fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|v| v * v).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|v| v * v).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
+/// The scalar cleanup oracle: the `ops::cosine_similarity` argmax and its cosine.
+fn ops_cleanup(code: &[Hypervector], query: &Hypervector) -> (usize, f32) {
+    let cosines: Vec<f32> = code
+        .iter()
+        .map(|row| ops::cosine_similarity(row, query))
+        .collect();
+    let best = ops::argmax(&cosines).expect("non-empty codebook");
+    (best, cosines[best])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Reference, parallel, and the naive O(d²) kernel agree on circular-convolution
+    /// Every backend, `ops::` and the naive O(d²) kernel agree on circular-convolution
     /// binding for random dimensions — power-of-two (FFT path) and not (naive path).
     #[test]
     fn prop_backends_match_naive_convolution(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
@@ -52,39 +52,40 @@ proptest! {
         let (rows_a, a) = random_batch(3, dim, seed);
         let (rows_b, b) = random_batch(3, dim, seed ^ 0x5eed);
 
-        let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
-        let r = reference.bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-        let p = parallel.bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
-
-        for i in 0..3 {
-            // The two backends agree within 1e-4 cosine (they are in fact bitwise
-            // equal; the cosine bound is the documented contract).
-            prop_assert!(cosine(r.row(i), p.row(i)) > 1.0 - 1e-4);
-            prop_assert_eq!(r.row(i), p.row(i));
-            // And both match the O(d²) time-domain definition within float tolerance.
-            let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
-            for (x, y) in p.row(i).iter().zip(&naive) {
-                prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
+        for kind in BackendKind::ALL {
+            let bound = kind.create().bind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
+            for i in 0..3 {
+                // Bitwise equal to the scalar op (planned FFT or naive loop alike).
+                let scalar = ops::try_circular_convolve(&rows_a[i], &rows_b[i]).unwrap();
+                prop_assert!(bound.row(i) == scalar.values(), "{} row {}", kind, i);
+                // And within float tolerance of the O(d²) time-domain definition.
+                let naive = ops::circular_convolve_naive(rows_a[i].values(), rows_b[i].values());
+                for (x, y) in bound.row(i).iter().zip(&naive) {
+                    prop_assert!((x - y).abs() < 1e-2 * dim as f32, "{x} vs {y} at dim {dim}");
+                }
             }
         }
     }
 
-    /// Unbinding (circular correlation) agrees across backends on random dims.
+    /// Unbinding (Hadamard and circular correlation) equals `ops::` on random dims.
     #[test]
     fn prop_backends_match_on_unbind(seed in 0u64..1000, dim in 2usize..160) {
-        let (_, a) = random_batch(2, dim, seed);
-        let (_, b) = random_batch(2, dim, seed + 17);
-        let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
-        for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
-            let r = reference.unbind_batch(&a, &b, op).unwrap();
-            let p = parallel.unbind_batch(&a, &b, op).unwrap();
-            prop_assert_eq!(r, p);
+        let (rows_a, a) = random_batch(2, dim, seed);
+        let (rows_b, b) = random_batch(2, dim, seed + 17);
+        for kind in BackendKind::ALL {
+            let backend = kind.create();
+            let had = backend.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
+            let corr = backend.unbind_batch(&a, &b, BindingOp::CircularConvolution).unwrap();
+            for i in 0..2 {
+                let scalar = ops::hadamard_unbind(&rows_a[i], &rows_b[i]).unwrap();
+                prop_assert!(had.row(i) == scalar.values(), "{} row {}", kind, i);
+                let scalar = ops::try_circular_correlate(&rows_a[i], &rows_b[i]).unwrap();
+                prop_assert!(corr.row(i) == scalar.values(), "{} row {}", kind, i);
+            }
         }
     }
 
-    /// Similarity GEMM and cleanup agree across backends on random shapes.
+    /// Similarity GEMM, cleanup and bundling agree with `ops::` on random shapes.
     #[test]
     fn prop_backends_match_on_similarity_and_cleanup(
         seed in 0u64..1000,
@@ -92,27 +93,28 @@ proptest! {
         code_rows in 2usize..24,
         queries in 1usize..12,
     ) {
-        let (_, cb) = random_batch(code_rows, dim, seed);
-        let (_, q) = random_batch(queries, dim, seed + 101);
-        let reference = BackendKind::Reference.create();
-        let parallel = BackendKind::Parallel.create();
-        let rs = reference.similarity_matrix(&cb, &q).unwrap();
-        let ps = parallel.similarity_matrix(&cb, &q).unwrap();
-        for (x, y) in rs.as_slice().iter().zip(ps.as_slice()) {
-            // Dots of bipolar rows grow with dim; bound the reordering error
-            // relative to the dimension.
-            prop_assert!((x - y).abs() < 1e-4 * dim as f32, "{x} vs {y}");
+        let (code, cb) = random_batch(code_rows, dim, seed);
+        let (rows_q, q) = random_batch(queries, dim, seed + 101);
+        for kind in BackendKind::ALL {
+            let backend = kind.create();
+            let sims = backend.similarity_matrix(&cb, &q).unwrap();
+            let cleanup = backend.cleanup_batch(&cb, &q).unwrap();
+            for (i, query) in rows_q.iter().enumerate() {
+                let scalar = ops::matvec_similarity(&code, query).unwrap();
+                for (x, y) in sims.row(i).iter().zip(&scalar) {
+                    // Dots of bipolar rows grow with dim; bound the reordering error
+                    // relative to the dimension.
+                    prop_assert!((x - y).abs() < 1e-4 * dim as f32, "{}: {} vs {}", kind, x, y);
+                }
+                let (best, cosine) = ops_cleanup(&code, query);
+                prop_assert!(cleanup[i].0 == best, "{} query {}", kind, i);
+                prop_assert!((cleanup[i].1 - cosine).abs() < 1e-4);
+            }
+            prop_assert_eq!(
+                backend.bundle(&q).unwrap().values(),
+                ops::bundle(&rows_q).unwrap().values()
+            );
         }
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
-        let pc = parallel.cleanup_batch(&cb, &q).unwrap();
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            prop_assert_eq!(ri, pi);
-            prop_assert!((rsim - psim).abs() < 1e-4);
-        }
-        prop_assert_eq!(
-            reference.bundle(&q).unwrap().values(),
-            parallel.bundle(&q).unwrap().values()
-        );
     }
 
     /// PackedBackend parity on bipolar inputs: bind/unbind are *exact* (XOR equals the
@@ -121,16 +123,17 @@ proptest! {
     #[test]
     fn prop_packed_bind_unbind_exact_on_bipolar(seed in 0u64..1000, d_pow in 2u32..9, odd in 0usize..7) {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
-        let (_, a) = random_batch(3, dim, seed);
-        let (_, b) = random_batch(3, dim, seed ^ 0xb17);
-        let reference = BackendKind::Reference.create();
+        let (rows_a, a) = random_batch(3, dim, seed);
+        let (rows_b, b) = random_batch(3, dim, seed ^ 0xb17);
         let packed = BackendKind::Packed.create();
-        let r = reference.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
         let p = packed.bind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        prop_assert_eq!(&r, &p);
-        let ru = reference.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
         let pu = packed.unbind_batch(&a, &b, BindingOp::Hadamard).unwrap();
-        prop_assert_eq!(&ru, &pu);
+        for i in 0..3 {
+            let bound = ops::hadamard_bind(&rows_a[i], &rows_b[i]).unwrap();
+            prop_assert_eq!(p.row(i), bound.values());
+            let unbound = ops::hadamard_unbind(&rows_a[i], &rows_b[i]).unwrap();
+            prop_assert_eq!(pu.row(i), unbound.values());
+        }
         // Packed round trip through the BitMatrix representation is lossless.
         let bits = BitMatrix::from_matrix(&a).expect("bipolar rows pack");
         prop_assert_eq!(bits.to_matrix(), a);
@@ -138,8 +141,8 @@ proptest! {
     }
 
     /// PackedBackend similarity is the exact integer dot product and its cleanup
-    /// agrees with the reference within 1e-4 cosine after the Hamming→cosine mapping;
-    /// bundling (vote counters) matches the reference sum exactly, which pins down the
+    /// agrees with `ops::` within 1e-4 cosine after the Hamming→cosine mapping;
+    /// bundling (vote counters) matches `ops::bundle` exactly, which pins down the
     /// tie behaviour of any later sign threshold.
     #[test]
     fn prop_packed_similarity_cleanup_bundle(
@@ -150,30 +153,28 @@ proptest! {
         queries in 1usize..10,
     ) {
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
-        let (_, cb) = random_batch(code_rows, dim, seed);
-        let (_, q) = random_batch(queries, dim, seed + 131);
-        let reference = BackendKind::Reference.create();
+        let (code, cb) = random_batch(code_rows, dim, seed);
+        let (rows_q, q) = random_batch(queries, dim, seed + 131);
         let packed = BackendKind::Packed.create();
-        // Dots of ±1 rows are exact in f32, so popcount similarity is bitwise equal.
-        prop_assert_eq!(
-            reference.similarity_matrix(&cb, &q).unwrap(),
-            packed.similarity_matrix(&cb, &q).unwrap()
-        );
-        let rc = reference.cleanup_batch(&cb, &q).unwrap();
+        let sims = packed.similarity_matrix(&cb, &q).unwrap();
         let pc = packed.cleanup_batch(&cb, &q).unwrap();
-        for ((ri, rsim), (pi, psim)) in rc.iter().zip(&pc) {
-            prop_assert_eq!(ri, pi);
-            prop_assert!((rsim - psim).abs() < 1e-4, "{} vs {}", rsim, psim);
+        for (i, query) in rows_q.iter().enumerate() {
+            // Dots of ±1 rows are exact in f32, so popcount similarity is bitwise equal.
+            let scalar = ops::matvec_similarity(&code, query).unwrap();
+            prop_assert_eq!(sims.row(i), scalar.as_slice());
+            let (best, cosine) = ops_cleanup(&code, query);
+            prop_assert_eq!(pc[i].0, best);
+            prop_assert!((pc[i].1 - cosine).abs() < 1e-4, "{} vs {}", pc[i].1, cosine);
         }
         prop_assert_eq!(
-            reference.bundle(&q).unwrap().values(),
+            ops::bundle(&rows_q).unwrap().values(),
             packed.bundle(&q).unwrap().values()
         );
     }
 
     /// The fused packed weighted-projection kernel (per-dimension f32 accumulators
-    /// over sign planes + fused perturbation + sign threshold) equals the dense
-    /// `project_batch_into` followed by the same perturbation and threshold —
+    /// over sign planes + fused perturbation + sign threshold) equals the scalar
+    /// `ops::weighted_superposition` followed by the same perturbation and threshold —
     /// **bitwise**, with and without noise, across power-of-two and non-power-of-two
     /// dimensions (tail words included).
     #[test]
@@ -191,7 +192,7 @@ proptest! {
 
         let with_noise = noise_sel == 1;
         let dim = (1usize << d_pow) + [0, 1, 3, 5, 7, 11, 13][odd];
-        let (_, cb) = random_batch(code_rows, dim, seed);
+        let (code, cb) = random_batch(code_rows, dim, seed);
         let cb_bits = BitMatrix::from_matrix(&cb).expect("bipolar codebook packs");
         // Real-valued weights, as the resonator's (noise-injected) similarity rows are.
         let mut r = rng(seed ^ 0xfeed);
@@ -202,12 +203,10 @@ proptest! {
         ).unwrap();
 
         let noise = Normal::new(0.0_f32, 0.75).unwrap();
-        // Dense path: project, perturb with a per-query stream, sign-threshold.
-        let reference = BackendKind::Reference.create();
-        let dense = reference.project_batch(&cb, &weights).unwrap();
+        // Scalar path: project, perturb with a per-query stream, sign-threshold.
         let mut expected = Vec::new();
         for q in 0..queries {
-            let mut row = dense.row(q).to_vec();
+            let mut row = ops::weighted_superposition(&code, weights.row(q)).unwrap().values().to_vec();
             if with_noise {
                 let mut stream = rand::rngs::StdRng::seed_from_u64(seed + q as u64);
                 for v in &mut row {
@@ -274,16 +273,16 @@ proptest! {
             .collect();
         let a = HvMatrix::from_rows(&hvs).unwrap();
         let (_, b) = random_batch(3, dim, seed + 7);
-        let parallel = BackendKind::Parallel.create();
+        let dense = BackendKind::Dense.create();
         let packed = BackendKind::Packed.create();
         for op in [BindingOp::Hadamard, BindingOp::CircularConvolution] {
             prop_assert_eq!(
-                parallel.bind_batch(&a, &b, op).unwrap(),
+                dense.bind_batch(&a, &b, op).unwrap(),
                 packed.bind_batch(&a, &b, op).unwrap()
             );
         }
         prop_assert_eq!(
-            parallel.similarity_matrix(&a, &b).unwrap(),
+            dense.similarity_matrix(&a, &b).unwrap(),
             packed.similarity_matrix(&a, &b).unwrap()
         );
     }
@@ -343,10 +342,10 @@ fn backends_agree_through_the_factorizer_on_both_bindings() {
         };
         let mut r1 = rng(3);
         let mut r2 = rng(3);
-        let a = Factorizer::new(config.clone().with_backend(BackendKind::Reference))
+        let a = Factorizer::new(config.clone().with_backend(BackendKind::Dense))
             .factorize(&set, &query, &mut r1)
             .unwrap();
-        let b = Factorizer::new(config.with_backend(BackendKind::Parallel))
+        let b = Factorizer::new(config.with_backend(BackendKind::Packed))
             .factorize(&set, &query, &mut r2)
             .unwrap();
         assert_eq!(a.indices, b.indices, "backends disagree under {binding:?}");
